@@ -1,0 +1,202 @@
+"""Pinned correctness reports: the contract of ``repro check``.
+
+Every analyzable registry protocol at its default ``n`` — the
+``always-zero`` and ``input-echo`` negative controls included — is
+checked for partial correctness and validity, and every field of both
+reports must equal the literals below: verdicts, completeness,
+``configurations_explored`` and the witnesses.  A witness is pinned as
+the input vector of its initial configuration plus a schedule from
+there; the report's witness must equal the configuration that schedule
+reaches.  The exact stdout of two ``repro check`` runs is pinned too.
+
+The literals were generated once and must never move: a change to how
+the accessible set is built is behaviour-preserving exactly when every
+value here still matches.
+"""
+
+from collections import namedtuple
+
+import pytest
+
+from repro import registry
+from repro.cli import main
+from repro.core.correctness import check_partial_correctness, check_validity
+from repro.core.events import NULL, Event
+
+PartialCorrectness = namedtuple(
+    "PartialCorrectness",
+    "agreement_ok zero_reachable one_reachable complete "
+    "disagreement_witness configurations_explored",
+)
+Validity = namedtuple(
+    "Validity",
+    "valid complete violation_witness violating_value "
+    "configurations_explored",
+)
+
+#: protocol name -> (partial-correctness report, validity report), with
+#: witnesses as ``(inputs, schedule)`` pairs.
+REPORTS = {
+    "2pc": (
+        PartialCorrectness(True, True, True, True, None, 128),
+        Validity(True, True, None, None, 128),
+    ),
+    "3pc": (
+        PartialCorrectness(True, True, True, True, None, 136),
+        Validity(True, True, None, None, 136),
+    ),
+    "always-zero": (
+        PartialCorrectness(True, True, False, True, None, 64),
+        Validity(False, True, ((1, 1, 1), (Event("p0", NULL),)), 0, 64),
+    ),
+    "arbiter": (
+        PartialCorrectness(True, True, True, True, None, 176),
+        Validity(True, True, None, None, 176),
+    ),
+    "input-echo": (
+        PartialCorrectness(
+            False, True, True, True,
+            ((1, 0), (Event("p0", NULL), Event("p1", NULL))),
+            16,
+        ),
+        Validity(True, True, None, None, 16),
+    ),
+    "parity-arbiter": (
+        PartialCorrectness(True, True, True, True, None, 1200),
+        Validity(True, True, None, None, 1200),
+    ),
+    "quorum-vote": (
+        PartialCorrectness(
+            False, True, True, True,
+            (
+                (1, 0, 0),
+                (
+                    Event("p0", NULL),
+                    Event("p1", ("vote", "p0", 1)),
+                    Event("p2", ("vote", "p1", 0)),
+                ),
+            ),
+            748,
+        ),
+        Validity(True, True, None, None, 748),
+    ),
+    "timeout-arbiter": (
+        PartialCorrectness(
+            False, True, True, True,
+            (
+                (0, 0, 1, 0),
+                (
+                    Event("p2", NULL),
+                    Event("p2", NULL),
+                    Event("p3", NULL),
+                    Event("p0", ("claim", "p3", 0)),
+                    Event("p1", ("claim", "p2", 1)),
+                ),
+            ),
+            25896,
+        ),
+        Validity(True, True, None, None, 25896),
+    ),
+    "wait-for-all": (
+        PartialCorrectness(True, True, True, True, None, 640),
+        Validity(True, True, None, None, 640),
+    ),
+}
+
+
+def _witness(protocol, pinned):
+    if pinned is None:
+        return None
+    inputs, schedule = pinned
+    return protocol.apply_schedule(
+        protocol.initial_configuration(list(inputs)), schedule
+    )
+
+
+def test_every_analyzable_protocol_is_pinned():
+    analyzable = {
+        name for name in registry.names() if registry.info(name).analyzable
+    }
+    assert analyzable == set(REPORTS)
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_partial_correctness_report(name):
+    entry = registry.info(name)
+    protocol = entry.build(entry.default_n)
+    pinned = REPORTS[name][0]
+    report = check_partial_correctness(protocol)
+    assert report.agreement_ok is pinned.agreement_ok
+    assert report.zero_reachable is pinned.zero_reachable
+    assert report.one_reachable is pinned.one_reachable
+    assert report.complete is pinned.complete
+    assert report.disagreement_witness == _witness(
+        protocol, pinned.disagreement_witness
+    )
+    assert report.configurations_explored == pinned.configurations_explored
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_validity_report(name):
+    entry = registry.info(name)
+    protocol = entry.build(entry.default_n)
+    pinned = REPORTS[name][1]
+    report = check_validity(protocol)
+    assert report.valid is pinned.valid
+    assert report.complete is pinned.complete
+    assert report.violation_witness == _witness(
+        protocol, pinned.violation_witness
+    )
+    assert report.violating_value == pinned.violating_value
+    assert report.configurations_explored == pinned.configurations_explored
+
+
+CHECK_STDOUT = {
+    ("parity-arbiter", "-n", "3"): (
+        0,
+        "protocol: Protocol(N=3, processes=['p0', 'p1', 'p2'])\n"
+        "determinism: deterministic across 180 re-executed transitions\n"
+        "partial correctness: partially correct: agreement=True, "
+        "0-reachable=True, 1-reachable=True, explored=1200\n"
+        "validity: holds\n"
+        "\n"
+        "initial-configuration valencies:\n"
+        "inputs  valency \n"
+        "------  --------\n"
+        "000     0-valent\n"
+        "001     bivalent\n"
+        "010     bivalent\n"
+        "011     1-valent\n"
+        "100     0-valent\n"
+        "101     bivalent\n"
+        "110     bivalent\n"
+        "111     1-valent\n",
+    ),
+    ("quorum-vote",): (
+        1,
+        "protocol: Protocol(N=3, processes=['p0', 'p1', 'p2'])\n"
+        "determinism: deterministic across 180 re-executed transitions\n"
+        "partial correctness: NOT partially correct: agreement=False, "
+        "0-reachable=True, 1-reachable=True, explored=748\n"
+        "validity: holds\n"
+        "\n"
+        "initial-configuration valencies:\n"
+        "inputs  valency \n"
+        "------  --------\n"
+        "000     0-valent\n"
+        "001     bivalent\n"
+        "010     bivalent\n"
+        "011     1-valent\n"
+        "100     bivalent\n"
+        "101     1-valent\n"
+        "110     1-valent\n"
+        "111     1-valent\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CHECK_STDOUT))
+def test_check_stdout(argv, capsys):
+    code, stdout = CHECK_STDOUT[argv]
+    assert main(["check", *argv]) == code
+    assert capsys.readouterr().out == stdout
