@@ -1,6 +1,6 @@
 """Bench A3 — state explosion vs. N, plus direct N-scaling micro-benches."""
 
-from repro.core.exploration import explore
+from repro.core.exploration import GlobalConfigurationGraph
 from repro.protocols import ParityArbiterProcess, make_protocol
 
 
@@ -19,6 +19,9 @@ def test_explore_parity_arbiter_n4(benchmark):
     protocol = make_protocol(ParityArbiterProcess, 4)
     root = protocol.initial_configuration([0, 0, 1, 1])
 
-    graph = benchmark(explore, protocol, root)
-    assert graph.complete
-    assert len(graph) > 1000  # the explosion is real
+    def grow():
+        return GlobalConfigurationGraph(protocol).explore(root)
+
+    growth = benchmark(grow)
+    assert growth.complete
+    assert len(growth.nodes) > 1000  # the explosion is real

@@ -22,7 +22,7 @@ from repro.analysis.diagrams import figure1, figure2, figure3, graph_to_dot
 from repro.analysis.valency_map import build_valency_map
 from repro.adversary.lemmas import commutativity_diamond, random_disjoint_schedules
 from repro.core.events import NULL, Event
-from repro.core.exploration import explore
+from repro.core.exploration import GlobalConfigurationGraph
 from repro.core.valency import ValencyAnalyzer
 from repro.protocols import ArbiterProcess, ParityArbiterProcess
 
@@ -100,7 +100,8 @@ def main() -> None:
 
     print()
     print("== Bonus: DOT export of the reachable graph ==")
-    graph = explore(plain, plain.initial_configuration([0, 0, 1]))
+    graph = GlobalConfigurationGraph(plain)
+    graph.explore(plain.initial_configuration([0, 0, 1]))
     dot = graph_to_dot(graph, plain_analyzer)
     path = "arbiter_configurations.dot"
     with open(path, "w") as handle:

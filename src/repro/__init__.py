@@ -36,7 +36,6 @@ from repro.core import (
     ValencyAnalyzer,
     check_partial_correctness,
     check_validity,
-    explore,
     simulate,
 )
 from repro.adversary import (
@@ -90,7 +89,6 @@ __all__ = [
     "ValencyAnalyzer",
     "check_partial_correctness",
     "check_validity",
-    "explore",
     "simulate",
     "AdversaryMode",
     "FLPAdversary",

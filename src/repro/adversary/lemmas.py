@@ -327,7 +327,10 @@ def find_bivalent_successor(
     whose 𝒞 regions overlap heavily — resolve almost entirely from
     cache instead of re-exploring (watch ``analyzer.stats``).
     """
-    cache = analyzer.transitions
+    # Rich transitions route through the engine's packed memos.  𝒞 is
+    # searched here rather than read off the engine's edges: under
+    # --por / --symmetry those edges are pruned or quotiented.
+    apply = analyzer.graph.codec.apply_rich
 
     # Incremental BFS state.  parents[i] = (parent id, edge event).
     members: list[Configuration] = [configuration]
@@ -357,7 +360,7 @@ def find_bivalent_successor(
                 f"event {event!r} became inapplicable inside 𝒞 — "
                 "model invariant violated"
             )
-        successor = cache.apply(protocol, member, event)
+        successor = apply(member, event)
         valency = analyzer.valency(successor)
         successor_valency[node] = valency
         return valency
@@ -367,7 +370,7 @@ def find_bivalent_successor(
         valency = classify(node)
         if valency is Valency.BIVALENT:
             avoiding = path_to(node)
-            successor = cache.apply(protocol, members[node], event)
+            successor = apply(members[node], event)
             witness = analyzer.bivalence_witness(successor)
             assert witness is not None  # valency said BIVALENT
             certificate = Lemma3Certificate(
@@ -397,7 +400,7 @@ def find_bivalent_successor(
         for candidate in protocol.enabled_events(members[node]):
             if candidate == event:
                 continue
-            successor = cache.apply(protocol, members[node], candidate)
+            successor = apply(members[node], candidate)
             existing = index.get(successor)
             if existing is None:
                 if len(members) >= max_configurations:
@@ -414,7 +417,7 @@ def find_bivalent_successor(
         return Lemma3Outcome(
             dead_end=(
                 path_to(dead_end_node).then(event),
-                cache.apply(protocol, members[dead_end_node], event),
+                apply(members[dead_end_node], event),
             ),
             exact=exact,
             configurations_examined=len(members),

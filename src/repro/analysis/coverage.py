@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.configuration import Configuration
-from repro.core.exploration import explore
+from repro.core.exploration import GlobalConfigurationGraph
 from repro.core.protocol import Protocol
 from repro.core.simulation import StopCondition, simulate
 
@@ -84,10 +84,9 @@ def measure_coverage(
     runs:
         Number of seeded runs to union over.
     """
-    graph = explore(
-        protocol, initial, max_configurations=max_configurations
-    )
-    reachable = set(graph.configurations)
+    graph = GlobalConfigurationGraph(protocol)
+    growth = graph.explore(initial, max_configurations=max_configurations)
+    reachable = {graph.configuration_at(node) for node in growth.nodes}
     deciding_reachable = {
         configuration
         for configuration in reachable

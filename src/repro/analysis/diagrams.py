@@ -18,7 +18,7 @@ any explored configuration graph with valency coloring.
 
 from __future__ import annotations
 
-from repro.core.exploration import ConfigurationGraph
+from repro.core.exploration import GlobalConfigurationGraph
 from repro.core.valency import Valency, ValencyAnalyzer
 from repro.adversary.certificates import CommutativityWitness
 from repro.adversary.lemmas import Lemma3Failure
@@ -196,7 +196,7 @@ _VALENCY_COLORS = {
 
 
 def graph_to_dot(
-    graph: ConfigurationGraph,
+    graph: GlobalConfigurationGraph,
     analyzer: ValencyAnalyzer | None = None,
     max_nodes: int = 400,
 ) -> str:

@@ -90,8 +90,8 @@ def _parse_inputs(text: str | None, n: int) -> list[int]:
 
 def _print_engine_stats(analyzer: ValencyAnalyzer) -> None:
     """Dump the shared configuration-graph engine's counters."""
-    # analyzer.stats mirrors the TransitionCache and packed-codec
-    # counters on read, so as_dict() is the complete picture.
+    # analyzer.stats mirrors the packed-codec counters on read, so
+    # as_dict() is the complete picture.
     counters = analyzer.stats.as_dict()
     print()
     print(format_counters(counters, title="engine counters:"))
@@ -389,9 +389,12 @@ def _cmd_map(args) -> int:
         print(hypercube_diagram(analyzer.classify_initials()))
     if args.dot:
         from repro.analysis.diagrams import graph_to_dot
-        from repro.core.exploration import explore
+        from repro.core.exploration import GlobalConfigurationGraph
 
-        graph = explore(protocol, root)
+        # A fresh engine grown from the root alone numbers the nodes in
+        # BFS order from it.
+        graph = GlobalConfigurationGraph(protocol)
+        graph.explore(root)
         with open(args.dot, "w") as handle:
             handle.write(graph_to_dot(graph, analyzer))
         print(f"wrote {args.dot}")

@@ -28,13 +28,7 @@ from repro.core.errors import (
     UnknownProcess,
 )
 from repro.core.events import NULL, Event, Schedule
-from repro.core.exploration import (
-    ConfigurationGraph,
-    GlobalConfigurationGraph,
-    GraphStats,
-    explore,
-    reachable_set,
-)
+from repro.core.exploration import GlobalConfigurationGraph, GraphStats
 from repro.core.messages import Message, MessageBuffer
 from repro.core.packing import PackedCodec
 from repro.core.seeding import stable_rng, stable_seed
@@ -82,11 +76,8 @@ __all__ = [
     "NULL",
     "Event",
     "Schedule",
-    "ConfigurationGraph",
     "GlobalConfigurationGraph",
     "GraphStats",
-    "explore",
-    "reachable_set",
     "Message",
     "MessageBuffer",
     "PackedCodec",

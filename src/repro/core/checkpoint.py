@@ -231,10 +231,8 @@ def restore_checkpoint(
 
     The engine must be freshly constructed (nothing interned yet) and
     must match the snapshot's protocol identity and reduction policy,
-    and the snapshot must be of the packed engine; the
-    codec object registered with the shared
-    :class:`~repro.core.exploration.TransitionCache` is restored in
-    place, so existing references stay valid.
+    and the snapshot must be of the packed engine.  The engine's codec
+    is restored in place, so existing references to it stay valid.
     """
     started = time.perf_counter()
     header, payload = _read(path)
@@ -336,7 +334,6 @@ def load_checkpoint(
     protocol: "Protocol",
     *,
     workers: int = 0,
-    transitions=None,
     resilience=None,
     checkpoint=None,
     reduction=None,
@@ -372,7 +369,6 @@ def load_checkpoint(
             )
     graph = GlobalConfigurationGraph(
         protocol,
-        transitions,
         workers=workers,
         resilience=resilience,
         checkpoint=checkpoint,

@@ -16,9 +16,14 @@ serves as this module's negative control.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.core.configuration import Configuration
-from repro.core.exploration import DEFAULT_MAX_CONFIGURATIONS, explore
+from repro.core.exploration import (
+    DEFAULT_MAX_CONFIGURATIONS,
+    GlobalConfigurationGraph,
+    GrowthResult,
+)
 from repro.core.protocol import Protocol
 from repro.core.values import ONE, ZERO
 
@@ -84,6 +89,26 @@ class PartialCorrectnessReport:
         )
 
 
+def _root_closures(
+    protocol: Protocol, max_configurations: int
+) -> Iterator[tuple[GlobalConfigurationGraph, Configuration, GrowthResult]]:
+    """Grow one engine from every initial configuration in turn.
+
+    Yields ``(graph, initial, growth)`` per root, in hypercube order.
+    Each root may intern *max_configurations* configurations on top of
+    what the engine already holds, so the budget is per root.  Node ids
+    follow breadth-first discovery order from the root that first
+    reached them and decision lists grow in id order, so the first
+    match in a root's closure is the one its search meets first.
+    """
+    graph = GlobalConfigurationGraph(protocol)
+    for initial in protocol.initial_configurations():
+        growth = graph.explore(
+            initial, max_configurations=len(graph) + max_configurations
+        )
+        yield graph, initial, growth
+
+
 def check_partial_correctness(
     protocol: Protocol,
     max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
@@ -95,30 +120,28 @@ def check_partial_correctness(
     """
     agreement_ok = True
     witness: Configuration | None = None
-    values_seen: set[int] = set()
+    zero_reachable = one_reachable = False
     complete = True
     explored = 0
-
-    # Note: no shared TransitionCache here — configurations embed the
-    # input registers, so reachable graphs from different hypercube
-    # roots are disjoint and a cross-root memo never hits.
-    for initial in protocol.initial_configurations():
-        graph = explore(
-            protocol, initial, max_configurations=max_configurations
-        )
-        explored += len(graph)
-        complete = complete and graph.complete
-        for configuration in graph.configurations:
-            decisions = configuration.decision_values()
-            if len(decisions) > 1 and witness is None:
-                agreement_ok = False
-                witness = configuration
-            values_seen |= decisions
+    for graph, _initial, growth in _root_closures(
+        protocol, max_configurations
+    ):
+        nodes = growth.nodes
+        explored += len(nodes)
+        complete = complete and growth.complete
+        zeros = [n for n in graph.decision_nodes(ZERO) if n in nodes]
+        ones = {n for n in graph.decision_nodes(ONE) if n in nodes}
+        zero_reachable = zero_reachable or bool(zeros)
+        one_reachable = one_reachable or bool(ones)
+        split = next((n for n in zeros if n in ones), None)
+        if witness is None and split is not None:
+            agreement_ok = False
+            witness = graph.configuration_at(split)
 
     return PartialCorrectnessReport(
         agreement_ok=agreement_ok,
-        zero_reachable=ZERO in values_seen,
-        one_reachable=ONE in values_seen,
+        zero_reachable=zero_reachable,
+        one_reachable=one_reachable,
         complete=complete,
         disagreement_witness=witness,
         configurations_explored=explored,
@@ -227,23 +250,27 @@ def check_validity(
     """Check validity over the accessible set of every initial config."""
     complete = True
     explored = 0
-    for initial in protocol.initial_configurations():
+    for graph, initial, growth in _root_closures(
+        protocol, max_configurations
+    ):
+        nodes = growth.nodes
+        explored += len(nodes)
+        complete = complete and growth.complete
         allowed = set(protocol.input_vector(initial))
-        graph = explore(
-            protocol, initial, max_configurations=max_configurations
-        )
-        explored += len(graph)
-        complete = complete and graph.complete
-        for configuration in graph.configurations:
-            for value in configuration.decision_values():
-                if value not in allowed:
-                    return ValidityReport(
-                        valid=False,
-                        complete=complete,
-                        violation_witness=configuration,
-                        violating_value=value,
-                        configurations_explored=explored,
-                    )
+        for value in (ZERO, ONE):
+            if value in allowed:
+                continue
+            node = next(
+                (n for n in graph.decision_nodes(value) if n in nodes), None
+            )
+            if node is not None:
+                return ValidityReport(
+                    valid=False,
+                    complete=complete,
+                    violation_witness=graph.configuration_at(node),
+                    violating_value=value,
+                    configurations_explored=explored,
+                )
     return ValidityReport(
         valid=True,
         complete=complete,

@@ -1,16 +1,17 @@
-"""Reachable-configuration graphs.
+"""The accessible-configuration graph.
 
 The proof machinery of the paper quantifies over *accessible*
 configurations — those reachable from some initial configuration by a
 schedule.  For finite protocol instances the reachable set is a finite
-directed graph whose edges are events; this module builds that graph
-explicitly, with memoization on configuration identity and an explicit
-budget so unbounded protocols degrade to a truthful partial answer
-instead of hanging.
+directed graph whose edges are events; :class:`GlobalConfigurationGraph`
+builds that graph incrementally, interning each configuration once and
+honoring an explicit budget so unbounded protocols degrade to a
+truthful partial answer instead of hanging.
 
-The graph is the substrate for exact valency computation
-(:mod:`repro.core.valency`): valency is reverse reachability from
-decision configurations.
+The graph is the substrate for every verdict over the accessible set:
+partial correctness and validity (:mod:`repro.core.correctness`) read
+decision configurations off it, and exact valency
+(:mod:`repro.core.valency`) is reverse reachability from them.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ import warnings
 import weakref
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.configuration import Configuration
-from repro.core.errors import ExplorationLimitExceeded, WorkerPoolError
+from repro.core.errors import WorkerPoolError
 from repro.core.events import Event
 from repro.core.kernel import TransitionKernel
 from repro.core.protocol import Protocol
@@ -45,270 +46,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.reduction import ReductionPolicy
 
 __all__ = [
-    "ConfigurationGraph",
     "GlobalConfigurationGraph",
     "GraphStats",
     "GrowthResult",
-    "TransitionCache",
-    "explore",
-    "reachable_set",
 ]
 
 #: Default exploration budget (number of distinct configurations).
 DEFAULT_MAX_CONFIGURATIONS = 200_000
 
 logger = logging.getLogger("repro.exploration")
-
-
-class TransitionCache:
-    """Memoized ``(configuration, event) -> successor`` application.
-
-    The valency analyzer and the adversary explore heavily overlapping
-    graphs (the full accessible set, then one event-filtered 𝒞 per
-    stage, then each ``e``-successor's own reachable set).  Since the
-    model is deterministic, every transition computed once can be
-    reused across all of them; sharing one cache turns re-exploration
-    into dictionary lookups.
-
-    The cache belongs to exactly one protocol — mixing protocols would
-    conflate transition functions — which :meth:`apply` asserts.
-    """
-
-    def __init__(self, protocol: "Protocol"):
-        self.protocol = protocol
-        self._transitions: dict[
-            tuple[Configuration, Event], Configuration
-        ] = {}
-        #: Optional :class:`~repro.core.packing.PackedCodec` to route
-        #: misses through (set by a :class:`GlobalConfigurationGraph`
-        #: sharing this cache): fresh applications then reuse the packed
-        #: memos and the decode dedup instead of recomputing rich
-        #: transitions.
-        self.codec = None
-        #: Lookups answered from the memo / computed fresh.
-        self.hits = 0
-        self.misses = 0
-
-    def apply(
-        self, protocol: "Protocol", configuration: Configuration,
-        event: Event,
-    ) -> Configuration:
-        """``e(C)``, memoized."""
-        if protocol is not self.protocol:
-            raise ValueError(
-                "TransitionCache is bound to a different protocol"
-            )
-        key = (configuration, event)
-        successor = self._transitions.get(key)
-        if successor is None:
-            self.misses += 1
-            if self.codec is not None:
-                successor = self.codec.apply_rich(configuration, event)
-            else:
-                successor = protocol.apply_event(configuration, event)
-            self._transitions[key] = successor
-        else:
-            self.hits += 1
-        return successor
-
-    def __len__(self) -> int:
-        return len(self._transitions)
-
-
-@dataclass
-class ConfigurationGraph:
-    """The explored portion of the configuration graph rooted at ``root``.
-
-    Attributes
-    ----------
-    root:
-        The configuration exploration started from.
-    configurations:
-        Every explored configuration, indexed by node id.  ``root`` is
-        node 0.
-    successors:
-        ``successors[i]`` lists ``(event, j)`` pairs: applying ``event``
-        to configuration ``i`` yields configuration ``j``.  Populated
-        only for *expanded* nodes.
-    predecessors:
-        Reverse adjacency (node ids only), for reverse reachability.
-    frontier:
-        Node ids that were discovered but never expanded because the
-        budget ran out.  Empty iff :attr:`complete`.
-    complete:
-        ``True`` iff the reachable set was exhausted — every discovered
-        configuration was expanded.  Only then are "cannot reach"
-        judgements sound.
-    """
-
-    root: Configuration
-    configurations: list[Configuration] = field(default_factory=list)
-    successors: list[list[tuple[Event, int]]] = field(default_factory=list)
-    predecessors: list[list[int]] = field(default_factory=list)
-    frontier: set[int] = field(default_factory=set)
-    complete: bool = True
-    _index: dict[Configuration, int] = field(default_factory=dict)
-
-    def node_id(self, configuration: Configuration) -> int:
-        """The id of *configuration* in this graph.
-
-        Raises
-        ------
-        KeyError
-            If the configuration was not discovered during exploration.
-        """
-        return self._index[configuration]
-
-    def __contains__(self, configuration: Configuration) -> bool:
-        return configuration in self._index
-
-    def __len__(self) -> int:
-        return len(self.configurations)
-
-    def nodes_reaching(self, targets: set[int]) -> set[int]:
-        """All node ids with a path into *targets* (including targets).
-
-        This is reverse BFS over :attr:`predecessors` — the primitive
-        underlying valency: a configuration is (say) 0-valent iff it
-        reaches a 0-decision configuration and no 1-decision one.
-        """
-        seen = set(targets)
-        queue = deque(targets)
-        while queue:
-            node = queue.popleft()
-            for predecessor in self.predecessors[node]:
-                if predecessor not in seen:
-                    seen.add(predecessor)
-                    queue.append(predecessor)
-        return seen
-
-    def decision_nodes(self, value: int) -> set[int]:
-        """Node ids of configurations having decision value *value*."""
-        return {
-            i
-            for i, configuration in enumerate(self.configurations)
-            if value in configuration.decision_values()
-        }
-
-    def iter_edges(self) -> Iterator[tuple[int, Event, int]]:
-        """Iterate over all edges as ``(source, event, target)``."""
-        for source, out in enumerate(self.successors):
-            for event, target in out:
-                yield source, event, target
-
-
-def explore(
-    protocol: Protocol,
-    root: Configuration,
-    max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
-    event_filter: Callable[[Configuration, Event], bool] | None = None,
-    include_null: bool = True,
-    cache: TransitionCache | None = None,
-) -> ConfigurationGraph:
-    """Breadth-first exploration of the configuration graph from *root*.
-
-    Parameters
-    ----------
-    protocol:
-        Supplies the step semantics and the enabled-event enumeration.
-    root:
-        Starting configuration (need not be initial).
-    max_configurations:
-        Budget on distinct configurations.  When exceeded, the result has
-        ``complete=False`` and the unexpanded nodes in ``frontier``; no
-        exception is raised (callers needing exactness check
-        ``complete``).
-    event_filter:
-        Optional predicate; events for which it returns ``False`` are not
-        taken.  Lemma 3's set 𝒞 ("reachable from C without applying e")
-        is exploration with the filter ``event != e``.
-    include_null:
-        Whether null-delivery events are explored.  The model always
-        allows them; protocols designed so that null deliveries are
-        no-ops keep the graph small either way, but excluding them is
-        useful for delivery-only analyses.
-    cache:
-        Optional shared :class:`TransitionCache`; explorations with
-        overlapping state spaces (the valency analyzer, the adversary's
-        per-stage 𝒞 searches) reuse each other's computed transitions.
-    """
-    graph = ConfigurationGraph(root=root)
-    graph.configurations.append(root)
-    graph.successors.append([])
-    graph.predecessors.append([])
-    graph._index[root] = 0
-
-    queue: deque[int] = deque([0])
-    expanded: set[int] = set()
-
-    while queue:
-        node = queue.popleft()
-        if node in expanded:
-            continue
-        expanded.add(node)
-        configuration = graph.configurations[node]
-        for event in protocol.enabled_events(
-            configuration, include_null=include_null
-        ):
-            if event_filter is not None and not event_filter(
-                configuration, event
-            ):
-                continue
-            if cache is not None:
-                successor = cache.apply(protocol, configuration, event)
-            else:
-                successor = protocol.apply_event(configuration, event)
-            existing = graph._index.get(successor)
-            if existing is None:
-                if len(graph.configurations) >= max_configurations:
-                    # Budget exhausted: record the truthful partial result.
-                    graph.complete = False
-                    graph.frontier = {
-                        n
-                        for n in range(len(graph.configurations))
-                        if n not in expanded
-                    }
-                    # The current node is only partially expanded.
-                    graph.frontier.add(node)
-                    return graph
-                existing = len(graph.configurations)
-                graph.configurations.append(successor)
-                graph.successors.append([])
-                graph.predecessors.append([])
-                graph._index[successor] = existing
-                queue.append(existing)
-            graph.successors[node].append((event, existing))
-            if node not in graph.predecessors[existing]:
-                graph.predecessors[existing].append(node)
-
-    graph.complete = True
-    graph.frontier = set()
-    return graph
-
-
-def reachable_set(
-    protocol: Protocol,
-    root: Configuration,
-    max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
-    require_complete: bool = False,
-) -> set[Configuration]:
-    """The set of configurations reachable from *root*.
-
-    With ``require_complete=True`` an incomplete exploration raises
-    :class:`ExplorationLimitExceeded` instead of returning a partial set.
-    """
-    graph = explore(protocol, root, max_configurations=max_configurations)
-    if require_complete and not graph.complete:
-        raise ExplorationLimitExceeded(
-            f"reachable set from {root!r} exceeds "
-            f"{max_configurations} configurations"
-        )
-    return set(graph.configurations)
-
-
-# ---------------------------------------------------------------------------
-# The shared incremental engine
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -335,10 +81,6 @@ class GraphStats:
     reach_calls: int = 0
     #: Rebuilds of the CSR reverse-adjacency index.
     csr_rebuilds: int = 0
-    #: Rich-level :class:`TransitionCache` lookups answered from memo /
-    #: computed fresh (mirrored from the engine's shared cache).
-    transition_hits: int = 0
-    transition_misses: int = 0
     #: Scalar step-oracle consultations answered from the codec memo /
     #: computed fresh through the rich transition function.
     packed_step_hits: int = 0
@@ -456,73 +198,34 @@ class GraphStats:
         return self.worker_busy_time / (self.parallel_time * self.workers)
 
     def as_dict(self) -> dict[str, object]:
-        """Flat mapping for tables and JSON artifacts."""
-        return {
-            "interned": self.interned,
-            "expansions": self.expansions,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "explore_calls": self.explore_calls,
-            "reach_calls": self.reach_calls,
-            "csr_rebuilds": self.csr_rebuilds,
-            "transition_hits": self.transition_hits,
-            "transition_misses": self.transition_misses,
-            "packed_step_hits": self.packed_step_hits,
-            "packed_step_misses": self.packed_step_misses,
-            "kernel_batch_expansions": self.kernel_batch_expansions,
-            "kernel_table_hits": self.kernel_table_hits,
-            "kernel_fallback_steps": self.kernel_fallback_steps,
-            "kernel_table_bytes": self.kernel_table_bytes,
-            "workers": self.workers,
-            "worker_batches": self.worker_batches,
-            "worker_batch_nodes": self.worker_batch_nodes,
-            "worker_max_batch": self.worker_max_batch,
-            "worker_chunks": self.worker_chunks,
-            "store_spills": self.store_spills,
-            "arena_bytes": self.arena_bytes,
-            "edge_bytes": self.edge_bytes,
-            "worker_utilization": (
-                None
-                if (utilization := self.worker_utilization) is None
-                else round(utilization, 4)
-            ),
-            "explore_levels": self.explore_levels,
-            "small_batch_levels": self.small_batch_levels,
-            "por_pruned": self.por_pruned,
-            "ample_fallbacks": self.ample_fallbacks,
-            "replay_checks": self.replay_checks,
-            "replay_violations": self.replay_violations,
-            "sym_canonical_hits": self.sym_canonical_hits,
-            "sym_canonical_misses": self.sym_canonical_misses,
-            "sym_leaf_images": self.sym_leaf_images,
-            "sym_fallbacks": self.sym_fallbacks,
-            "worker_timeouts": self.worker_timeouts,
-            "worker_faults": self.worker_faults,
-            "worker_retries": self.worker_retries,
-            "pool_rebuilds": self.pool_rebuilds,
-            "serial_fallbacks": self.serial_fallbacks,
-            "pool_disabled": self.pool_disabled,
-            "budget_stops": self.budget_stops,
-            "stop_requests": self.stop_requests,
-            "checkpoints_written": self.checkpoints_written,
-            "checkpoint_time_s": round(self.checkpoint_time, 6),
-            "resumed_nodes": self.resumed_nodes,
-            "explore_time_s": round(self.explore_time, 6),
-            "reach_time_s": round(self.reach_time, 6),
-            "classify_time_s": round(self.classify_time, 6),
-            "encode_time_s": round(self.encode_time, 6),
-            "worker_busy_s": round(self.worker_busy_time, 6),
-            "parallel_wall_s": round(self.parallel_time, 6),
-            "fault_crashes": self.fault_crashes,
-            "fault_recoveries": self.fault_recoveries,
-            "fault_inbox_wipes": self.fault_inbox_wipes,
-            "fault_omission_drops": self.fault_omission_drops,
-            "fault_duplications": self.fault_duplications,
-            "fault_partition_blocks": self.fault_partition_blocks,
-            "fault_drop_edges": self.fault_drop_edges,
-            "fault_send_blocks": self.fault_send_blocks,
-            "fault_dead_exclusions": self.fault_dead_exclusions,
-        }
+        """Flat mapping for tables and JSON artifacts.
+
+        One key per field, in declaration order, then the derived
+        ``worker_utilization``.  Wall-clock fields are rounded to the
+        microsecond and exported with a seconds suffix (``*_time`` as
+        ``*_time_s``; see :data:`_SECONDS_KEYS` for the two others).
+        """
+        out: dict[str, object] = {}
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            # Annotations are strings here (postponed evaluation).
+            if spec.type == "float":
+                key = _SECONDS_KEYS.get(spec.name, spec.name + "_s")
+                out[key] = round(value, 6)
+            else:
+                out[spec.name] = value
+        utilization = self.worker_utilization
+        out["worker_utilization"] = (
+            None if utilization is None else round(utilization, 4)
+        )
+        return out
+
+
+#: Export keys of the wall-clock fields not named ``*_time``.
+_SECONDS_KEYS = {
+    "worker_busy_time": "worker_busy_s",
+    "parallel_time": "parallel_wall_s",
+}
 
 
 @dataclass(frozen=True)
@@ -551,10 +254,9 @@ class _ConfigurationView:
     """Sequence view of the engine's configurations, decoded lazily.
 
     The engine never materializes a rich configuration unless someone
-    asks for it (traces, witnesses, the census); this view keeps the
-    ``graph.configurations[node]`` / iteration API of the per-root
-    :class:`ConfigurationGraph` while paying the decode cost per node at
-    most once.
+    asks for it (traces, witnesses, the census); this view offers
+    ``graph.configurations[node]`` and iteration while paying the
+    decode cost per node at most once.
     """
 
     __slots__ = ("_graph",)
@@ -635,6 +337,22 @@ def _close_from_atexit(graph_ref: "weakref.ref") -> None:
         graph.close()
 
 
+def _record_spill(graph_ref: "weakref.ref", nbytes: int) -> None:
+    """The store's spill hook, holding the engine weakly for the same
+    reason: an engine in no reference cycle is freed, buffers and all,
+    the moment its last reference goes."""
+    graph = graph_ref()
+    if graph is None:
+        return
+    graph.stats.store_spills += 1
+    logger.info(
+        "flat-buffer store spilled %d bytes to a memory-mapped "
+        "temp file (budget %.0f MiB)",
+        nbytes,
+        graph.store_config.spill_budget_mb,
+    )
+
+
 class GlobalConfigurationGraph:
     """One incremental accessible-configuration graph per protocol.
 
@@ -672,7 +390,6 @@ class GlobalConfigurationGraph:
     def __init__(
         self,
         protocol: Protocol,
-        transitions: TransitionCache | None = None,
         *,
         workers: int = 0,
         min_batch_per_worker: int = 4,
@@ -683,11 +400,6 @@ class GlobalConfigurationGraph:
         store: "StoreConfig | str | None" = None,
     ):
         self.protocol = protocol
-        # Explicit None-check: an empty TransitionCache is falsy (len 0).
-        self.transitions = (
-            transitions if transitions is not None
-            else TransitionCache(protocol)
-        )
         self.stats = GraphStats()
         self.workers = max(0, workers)
         self.stats.workers = self.workers
@@ -727,7 +439,7 @@ class GlobalConfigurationGraph:
         self._store = GraphStore(
             self._codec.width,
             self.store_config,
-            on_spill=self._record_spill,
+            on_spill=functools.partial(_record_spill, weakref.ref(self)),
         )
         self._kernel = TransitionKernel(self._codec)
         #: Lazy kernel-event-id -> store-event-id map, filled in
@@ -736,11 +448,6 @@ class GlobalConfigurationGraph:
         #: assigned in (serially or from crew deltas).
         self._kernel_store_eids: list[int] = []
         self._rich: dict[int, Configuration] = {}
-        self.configurations = _ConfigurationView(self)
-        self.successors = _SuccessorsView(self)
-        # Route shared-cache misses through the packed memos so the
-        # adversary's rich-level searches reuse exploration work.
-        self.transitions.codec = self._codec
         #: Reduction layers (:mod:`repro.core.reduction`); both ``None``
         #: unless a :class:`ReductionPolicy` asked for them.
         self.reduction = reduction
@@ -785,14 +492,15 @@ class GlobalConfigurationGraph:
         """The flat-buffer store."""
         return self._store
 
-    def _record_spill(self, nbytes: int) -> None:
-        self.stats.store_spills += 1
-        logger.info(
-            "flat-buffer store spilled %d bytes to a memory-mapped "
-            "temp file (budget %.0f MiB)",
-            nbytes,
-            self.store_config.spill_budget_mb,
-        )
+    @property
+    def configurations(self) -> _ConfigurationView:
+        """Every configuration, by node id, decoded lazily."""
+        return _ConfigurationView(self)
+
+    @property
+    def successors(self) -> _SuccessorsView:
+        """Every node's ``(event, target)`` edge list, by node id."""
+        return _SuccessorsView(self)
 
     # -- interning ---------------------------------------------------------------
 
@@ -976,8 +684,8 @@ class GlobalConfigurationGraph:
         *max_configurations* bounds the **total** number of interned
         configurations.  A node whose expansion would exceed the budget
         is left unexpanded (hence in the frontier) and the result
-        reports ``complete=False`` — the truthful-partial-answer
-        contract of the per-root :func:`explore`, carried over.
+        reports ``complete=False`` — a truthful partial answer, never
+        an exception.
 
         The traversal is level-synchronized BFS with an in-order merge,
         so the interning sequence (hence every node id and edge list) is
@@ -1009,8 +717,6 @@ class GlobalConfigurationGraph:
             raise
         finally:
             self.stats.explore_time += time.perf_counter() - started
-            self.stats.transition_hits = self.transitions.hits
-            self.stats.transition_misses = self.transitions.misses
             self.stats.packed_step_hits = self._codec.step_hits
             self.stats.packed_step_misses = self._codec.step_misses
             self.stats.arena_bytes = self._store.arena_bytes
@@ -1592,7 +1298,7 @@ class GlobalConfigurationGraph:
             if not self._expanded[current]:
                 complete = False
                 continue
-            for _event, target in self.successors[current]:
+            for target in self._store.edge_targets(current):
                 if target not in visited:
                     visited.add(target)
                     queue.append(target)
@@ -1632,10 +1338,9 @@ class GlobalConfigurationGraph:
         """Flat visited map of all nodes with a path into *targets*.
 
         The returned ``bytearray`` has one byte per node id; byte ``i``
-        is 1 iff node ``i`` reaches some target (targets included).
-        This replaces the set-of-ints reverse BFS of
-        :meth:`ConfigurationGraph.nodes_reaching`: same relation, flat
-        memory, no per-element hashing.
+        is 1 iff node ``i`` reaches some target (targets included):
+        reverse BFS over the CSR index with flat memory and no
+        per-element hashing.
         """
         started = time.perf_counter()
         indptr, indices = self._reverse_csr()

@@ -326,8 +326,8 @@ class PackedCodec:
         self, configuration: Configuration, event: Event
     ) -> Configuration:
         """``e(C)`` on rich configurations, routed through the packed
-        memos — lets :class:`~repro.core.exploration.TransitionCache`
-        reuse everything the exploration engine already computed."""
+        memos — lets rich-level searches (Lemma 3's 𝒞) reuse everything
+        the exploration engine already computed."""
         return self.decode(self.apply_packed(self.encode(configuration), event))
 
     def iter_states(self) -> Iterator[tuple[int, ProcessState]]:

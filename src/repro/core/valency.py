@@ -23,10 +23,8 @@ from repro.core.configuration import Configuration
 from repro.core.events import Event, Schedule
 from repro.core.exploration import (
     DEFAULT_MAX_CONFIGURATIONS,
-    ConfigurationGraph,
     GlobalConfigurationGraph,
     GraphStats,
-    TransitionCache,
 )
 from repro.core.protocol import Protocol
 from repro.core.values import ONE, ZERO
@@ -106,7 +104,7 @@ class BivalenceWitness:
 
 
 def shortest_schedule(
-    graph: ConfigurationGraph | GlobalConfigurationGraph,
+    graph: GlobalConfigurationGraph,
     source: int,
     targets: set[int],
 ) -> Schedule | None:
@@ -151,7 +149,7 @@ class ValencyAnalyzer:
     soundly.  Any later query whose configuration lies in the
     already-classified region — including every
     :meth:`bivalence_witness` lookup — is a pure cache hit: no second
-    exploration, no per-root graph rebuild.
+    exploration.
 
     Classification is monotone-sound across growth: an expanded node's
     forward closure never changes (expansion records the complete
@@ -210,8 +208,6 @@ class ValencyAnalyzer:
     ):
         self.protocol = protocol
         self.max_configurations = max_configurations
-        #: Shared transition memo; the adversary's searches reuse it.
-        self.transitions = TransitionCache(protocol)
         #: The one shared accessible-configuration graph.
         if resume_from is not None:
             from repro.core.checkpoint import load_checkpoint
@@ -220,7 +216,6 @@ class ValencyAnalyzer:
                 resume_from,
                 protocol,
                 workers=workers,
-                transitions=self.transitions,
                 resilience=resilience,
                 checkpoint=checkpoint,
                 reduction=reduction,
@@ -229,7 +224,6 @@ class ValencyAnalyzer:
         else:
             self.graph = GlobalConfigurationGraph(
                 protocol,
-                self.transitions,
                 workers=workers,
                 resilience=resilience,
                 checkpoint=checkpoint,
@@ -247,10 +241,7 @@ class ValencyAnalyzer:
     def configurations_explored(self) -> int:
         """Total distinct configurations interned by the shared graph.
 
-        With the per-root design this grew by the full subgraph size on
-        every re-exploration; now it is the size of the one global
-        graph, so repeated queries over overlapping regions leave it
-        unchanged.
+        Repeated queries over overlapping regions leave it unchanged.
         """
         return len(self.graph)
 
@@ -258,18 +249,15 @@ class ValencyAnalyzer:
     def stats(self) -> GraphStats:
         """Engine observability counters (see :class:`GraphStats`).
 
-        The shared :class:`TransitionCache` counters are mirrored on
-        every read so they stay fresh even when transitions are applied
-        outside :meth:`GlobalConfigurationGraph.explore` (the
-        adversary's event-filtered searches do exactly that).
+        The codec's step-memo counters are mirrored on every read so
+        they stay fresh even when transitions are applied outside
+        :meth:`GlobalConfigurationGraph.explore` (the adversary's
+        event-filtered searches do exactly that).
         """
         stats = self.graph.stats
-        stats.transition_hits = self.transitions.hits
-        stats.transition_misses = self.transitions.misses
         codec = self.graph.codec
-        if codec is not None:
-            stats.packed_step_hits = codec.step_hits
-            stats.packed_step_misses = codec.step_misses
+        stats.packed_step_hits = codec.step_hits
+        stats.packed_step_misses = codec.step_misses
         fault_counters = getattr(self.protocol, "fault_counters", None)
         if fault_counters is not None:
             for key, value in fault_counters.as_dict().items():

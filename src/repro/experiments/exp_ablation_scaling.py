@@ -15,7 +15,6 @@ from __future__ import annotations
 import time
 
 from repro.adversary.flp import FLPAdversary
-from repro.core.exploration import explore
 from repro.core.valency import Valency, ValencyAnalyzer
 from repro.experiments.harness import ExperimentResult, experiment
 from repro.protocols import (
@@ -48,13 +47,14 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
             analyzer = ValencyAnalyzer(protocol)
             bivalent = 0
             total = 0
+            graph = analyzer.graph
             for initial in protocol.initial_configurations():
-                graph = explore(protocol, initial)
-                biggest = max(biggest, len(graph))
-                for configuration in graph.configurations:
+                nodes = graph.explore(initial).nodes
+                biggest = max(biggest, len(nodes))
+                for node in nodes:
                     total += 1
                     if (
-                        analyzer.valency(configuration)
+                        analyzer.valency(graph.configuration_at(node))
                         is Valency.BIVALENT
                     ):
                         bivalent += 1

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.adversary.lemmas import find_bivalent_successor
 from repro.core.valency import Valency, ValencyAnalyzer
-from repro.core.exploration import explore
 from repro.experiments.harness import ExperimentResult, experiment
 from repro.experiments.zoo import bivalent_zoo
 from repro.adversary.certificates import Lemma3Case
@@ -34,11 +33,14 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
     for label, protocol in bivalent_zoo(quick):
         analyzer = ValencyAnalyzer(protocol)
         # Collect bivalent configurations from every initial hypercube
-        # corner, breadth-first, up to the sample budget.
+        # corner, breadth-first, up to the sample budget.  Roots reach
+        # disjoint sets (inputs are part of every state), so each
+        # root's ids are in its own BFS discovery order.
+        graph = analyzer.graph
         bivalent_configurations = []
         for initial in protocol.initial_configurations():
-            graph = explore(protocol, initial)
-            for configuration in graph.configurations:
+            for node in sorted(graph.explore(initial).nodes):
+                configuration = graph.configuration_at(node)
                 if analyzer.valency(configuration) is Valency.BIVALENT:
                     bivalent_configurations.append(configuration)
         # Deduplicate while preserving order, then trim.

@@ -18,16 +18,15 @@ exhaustively:
 
 The wrapper subclasses :class:`~repro.core.protocol.Protocol` and
 overrides :meth:`enabled_events` and :meth:`apply_event`, so every
-consumer that routes steps through the protocol (the per-root
-:func:`~repro.core.exploration.explore`, simulation, schedule replay)
-honours the faults with no further wiring.  The shared exploration
+consumer that routes steps through the protocol (simulation, schedule
+replay) honours the faults with no further wiring.  The exploration
 engine speaks through a codec rather than protocol methods, so
 :meth:`FaultedProtocol.packed_codec` supplies
 :class:`FaultedPackedCodec` — the same fault fragment expressed at the
 packed-id level, through the transition kernel's event-row and step
 hooks — and faulted exploration, serial or on the crew, runs the kernel
-like everything else.  The per-root ``explore()`` over the protocol
-methods is the cross-check in the test suite.
+like everything else.  The test suite's reference exploration over
+the protocol methods is the cross-check.
 """
 
 from __future__ import annotations
@@ -198,8 +197,8 @@ class FaultedPackedCodec(PackedCodec):
       reproduce the faulted :meth:`~FaultedProtocol.enabled_events`
       order exactly — dead processes excluded, a :class:`Drop` edge
       after each delivery to a lossy destination — so the kernel
-      interns the same successors in the same order as the per-root
-      ``explore()`` over the protocol;
+      interns the same successors in the same order as a breadth-first
+      search over the protocol methods;
     * :meth:`kernel_step` and :meth:`apply_packed` handle drop
       pseudo-events as pure buffer transitions (the stepping process's
       state id is untouched), sharing the delivery memo with the

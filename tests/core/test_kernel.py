@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
-from repro.core.exploration import GlobalConfigurationGraph, explore
+from repro.core.exploration import GlobalConfigurationGraph
 from repro.core.reduction import ReductionPolicy
 from repro.protocols import (
     ArbiterProcess,
@@ -33,7 +33,7 @@ from tests.core.test_census_fingerprints import (
     census_fingerprint,
 )
 from tests.core.test_checkpoint import save_without_kernel_tables
-from tests.reference import assert_same_graph
+from tests.reference import assert_same_graph, explore
 
 #: The parity zoo: (factory, budget).  ``None`` = explore to closure.
 #: Budgets keep the hypothesis suite fast while still crossing table

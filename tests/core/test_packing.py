@@ -15,13 +15,13 @@ import pytest
 
 from repro.core.errors import UnknownProcess
 from repro.core.events import NULL, Event
-from repro.core.exploration import GlobalConfigurationGraph, explore
+from repro.core.exploration import GlobalConfigurationGraph
 from repro.core.kernel import TransitionKernel
 from repro.core.packing import PackedCodec
 from repro.core.valency import Valency, ValencyAnalyzer
 from repro.protocols import ArbiterProcess, make_protocol
 from tests.core.test_census_fingerprints import CENSUS, INPUTS
-from tests.reference import closure_triples, engine_triples
+from tests.reference import closure_triples, engine_triples, explore
 
 
 @pytest.fixture(scope="module")

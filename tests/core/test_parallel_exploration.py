@@ -168,23 +168,24 @@ class TestPoolLifecycle:
 
 
 class TestStatsCounters:
-    def test_transition_counters_surface_in_stats(self, parity3):
+    def test_rich_applications_surface_in_stats(self, parity3):
         analyzer = ValencyAnalyzer(parity3)
         root = parity3.initial_configuration([0, 0, 1])
         analyzer.valency(root)
         before = analyzer.stats.as_dict()
-        assert "transition_hits" in before
-        assert "transition_misses" in before
-        # Drive the rich-level shared cache directly: first call misses,
-        # second hits — and both movements show up in GraphStats.
+        # Apply a transition outside explore(), the way Lemma 3's search
+        # does, from a root the engine never reached: the first step
+        # misses the codec memo, the second hits, and both movements
+        # show up in GraphStats on the next read.
         from repro.core.events import NULL, Event
 
-        event = Event("p1", NULL)
-        analyzer.transitions.apply(parity3, root, event)
-        analyzer.transitions.apply(parity3, root, event)
+        elsewhere = parity3.initial_configuration([1, 1, 0])
+        apply = analyzer.graph.codec.apply_rich
+        apply(elsewhere, Event("p0", NULL))
+        apply(elsewhere, Event("p0", NULL))
         after = analyzer.stats.as_dict()
-        assert after["transition_misses"] > before["transition_misses"]
-        assert after["transition_hits"] > before["transition_hits"]
+        assert after["packed_step_misses"] > before["packed_step_misses"]
+        assert after["packed_step_hits"] > before["packed_step_hits"]
 
     def test_packed_step_counters_move(self, parity3):
         analyzer = ValencyAnalyzer(parity3)

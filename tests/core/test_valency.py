@@ -12,7 +12,6 @@ The key invariants come straight from the paper:
 import pytest
 
 from repro.core.events import Event
-from repro.core.exploration import explore
 from repro.core.valency import Valency, ValencyAnalyzer, shortest_schedule
 from repro.core.values import ONE, ZERO
 from repro.protocols import (
@@ -21,6 +20,7 @@ from repro.protocols import (
     WaitForAllProcess,
     make_protocol,
 )
+from tests.reference import explore
 
 
 class TestValencyEnum:

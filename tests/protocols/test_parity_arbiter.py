@@ -1,10 +1,10 @@
 """Tests for the parity-arbiter protocol (the staged-mode showcase)."""
 
 from repro.core.events import NULL, Event
-from repro.core.exploration import explore
 from repro.core.simulation import StopCondition, simulate
 from repro.core.valency import Valency
 from repro.schedulers import RandomScheduler, RoundRobinScheduler
+from tests.reference import explore
 
 
 class TestParityMechanics:

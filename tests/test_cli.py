@@ -149,8 +149,8 @@ class TestStatsFlag:
     def test_stats_surface_cache_and_packed_counters(self, capsys):
         assert main(["check", "arbiter", "--stats"]) == 0
         out = capsys.readouterr().out
-        assert "transition_hits" in out
-        assert "transition_misses" in out
+        assert "kernel_table_hits" in out
+        assert "kernel_fallback_steps" in out
         assert "packed_step_hits" in out
         assert "packed_step_misses" in out
         assert "workers" in out

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.admissibility import analyze_admissibility
-from repro.core.exploration import explore
 from repro.core.resilience import ChaosConfig, ResilienceConfig
 from repro.core.simulation import StopCondition, simulate
 from repro.core.valency import Valency, ValencyAnalyzer
@@ -41,6 +40,7 @@ from repro.schedulers import (
     RoundRobinScheduler,
     random_crash_plan,
 )
+from tests.reference import explore
 
 FACTORIES = {
     "arbiter": lambda: make_protocol(ArbiterProcess, 3),
