@@ -101,16 +101,11 @@ def _reduction_policy(args):
     """The :class:`ReductionPolicy` requested by the command's flags."""
     por = getattr(args, "por", False)
     symmetry = getattr(args, "symmetry", False)
-    brute = getattr(args, "symmetry_brute", False)
-    if not (por or symmetry or brute):
+    if not (por or symmetry):
         return None
     from repro.core.reduction import ReductionPolicy
 
-    return ReductionPolicy(
-        por=por,
-        symmetry=symmetry or brute,
-        symmetry_algorithm="brute" if brute else "refine",
-    )
+    return ReductionPolicy(por=por, symmetry=symmetry)
 
 
 def _make_analyzer(protocol, args) -> ValencyAnalyzer:
@@ -711,13 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
             "via partition refinement (needs the protocol's automata "
             "to declare symmetric=True; witnesses and attacks are "
             "un-quotiented back to concrete replayable schedules)",
-        )
-        sub.add_argument(
-            "--symmetry-brute",
-            action="store_true",
-            help="use the n!-enumeration canonicalizer instead of "
-            "partition refinement (cross-check oracle for small "
-            "rosters; implies --symmetry)",
         )
 
     def add_resilience_flags(sub: argparse.ArgumentParser) -> None:

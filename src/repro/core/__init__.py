@@ -17,7 +17,6 @@ from repro.core.correctness import (
 )
 from repro.core.errors import (
     AdversaryStuck,
-    ExplorationLimitExceeded,
     FLPError,
     InvalidEvent,
     ModelError,
@@ -64,7 +63,6 @@ __all__ = [
     "check_partial_correctness",
     "check_validity",
     "AdversaryStuck",
-    "ExplorationLimitExceeded",
     "FLPError",
     "InvalidEvent",
     "ModelError",

@@ -236,6 +236,17 @@ def restore_checkpoint(
     """
     started = time.perf_counter()
     header, payload = _read(path)
+    return _install(graph, path, header, payload, started)
+
+
+def _install(
+    graph: "GlobalConfigurationGraph",
+    path: str,
+    header: dict[str, object],
+    payload: bytes,
+    started: float,
+) -> CheckpointInfo:
+    """Install the verified *header* and *payload* read from *path*."""
     if len(graph) != 0:
         raise CheckpointError(
             "restore target must be a fresh engine (it already has "
@@ -259,10 +270,11 @@ def restore_checkpoint(
     # resuming across the boundary would silently mix them.  Headers
     # from before the reduction stamp read as "no reductions".  The
     # stamp includes the canonicalization algorithm when the quotient is
-    # on: refine and brute may choose different orbit representatives,
-    # and pre-refine symmetry snapshots additionally lack the per-edge
-    # renaming side table, so a symmetry header without the algorithm
-    # key can never match and is refused here rather than mixed.
+    # on: snapshots of the retired brute canonicalizer (stamped
+    # "brute") chose different orbit representatives, and pre-refine
+    # symmetry snapshots lack the per-edge renaming side table, so a
+    # symmetry header that is not stamped "refine" can never match and
+    # is refused here rather than mixed.
     recorded = header.get("reduction", {"por": False, "symmetry": False})
     requested = _reduction_stamp(graph)
     if recorded != requested:
@@ -354,7 +366,8 @@ def load_checkpoint(
     """
     from repro.core.exploration import GlobalConfigurationGraph
 
-    header = read_checkpoint_header(path)
+    started = time.perf_counter()
+    header, payload = _read(path)
     if reduction is None:
         stamp = header.get("reduction", {"por": False, "symmetry": False})
         if stamp.get("por") or stamp.get("symmetry"):
@@ -363,9 +376,6 @@ def load_checkpoint(
             reduction = ReductionPolicy(
                 por=bool(stamp.get("por")),
                 symmetry=bool(stamp.get("symmetry")),
-                symmetry_algorithm=str(
-                    stamp.get("symmetry_algorithm", "refine")
-                ),
             )
     graph = GlobalConfigurationGraph(
         protocol,
@@ -375,5 +385,5 @@ def load_checkpoint(
         reduction=reduction,
         store=store,
     )
-    restore_checkpoint(graph, path)
+    _install(graph, path, header, payload, started)
     return graph

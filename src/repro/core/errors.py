@@ -76,14 +76,6 @@ class NotPartiallyCorrect(FLPError):
     """
 
 
-class ExplorationLimitExceeded(FLPError):
-    """Reachability exploration hit its node or depth budget.
-
-    Raised only when the caller requested *exact* answers; bounded-analysis
-    entry points return explicit ``UNKNOWN`` results instead.
-    """
-
-
 class AdversaryStuck(FLPError):
     """The FLP adversary could not find a bivalence-preserving extension.
 

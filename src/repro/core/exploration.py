@@ -64,7 +64,7 @@ class GraphStats:
     Every counter is cumulative over the engine's lifetime; wall-clock
     phases are in seconds.  Surfaced by
     :func:`repro.analysis.stats.format_counters` and the CLI ``--stats``
-    flag, and recorded in the ``BENCH_core_ops.json`` artifact.
+    flag, and read per layer by ``benchspine/``.
     """
 
     #: Distinct configurations interned to dense ids.
@@ -159,8 +159,8 @@ class GraphStats:
     sym_fallbacks: int = 0
     #: Distinct packed tuples the quotient actually canonicalized
     #: (memo misses) and the packed images it materialized doing so —
-    #: the refine fast path builds at most one image per miss, the
-    #: brute oracle n!-1.  Mirrored from the quotient after explore().
+    #: the discrete-seed fast path builds one image per miss, branching
+    #: a few more.  Mirrored from the quotient after explore().
     sym_canonical_misses: int = 0
     sym_leaf_images: int = 0
     #: Frontier levels expanded inline because the batch was too small
@@ -458,7 +458,7 @@ class GlobalConfigurationGraph:
 
             if reduction.symmetry:
                 quotient, fallback = SymmetryQuotient.build(
-                    protocol, self._codec, reduction
+                    protocol, self._codec
                 )
                 if quotient is None:
                     warnings.warn(
@@ -851,9 +851,9 @@ class GlobalConfigurationGraph:
             and len(batch) < threshold
         ):
             # Auto-disable for this level: a batch too small to occupy
-            # every worker loses more to IPC than it gains (see
-            # BENCH_parallel.json), so it expands inline.  Logged once,
-            # honestly, instead of silently idling the crew.
+            # every worker loses more to IPC than it gains, so it
+            # expands inline.  Logged once, honestly, instead of
+            # silently idling the crew.
             self.stats.small_batch_levels += 1
             if not self._small_batch_logged:
                 self._small_batch_logged = True

@@ -33,7 +33,7 @@ The invisibility clause is checkable locally; the deferral itself is
 heuristic for protocols where a deferred step can send *new* mail to
 the chosen process (see MODEL.md for the honest discussion), which is
 why verdict identity against the unreduced graph is additionally pinned
-by the zoo-wide property tests and the ``bench_por`` CI gate.
+by the zoo-wide property tests.
 
 **Symmetry quotient** (:class:`SymmetryQuotient`).  For protocols whose
 automata declare ``symmetric = True``, configurations are canonicalized
@@ -47,10 +47,8 @@ are broken by individualizing the smallest non-singleton cell with
 automorphism-discovery pruning.  In the common case the seed colors are
 already discrete and canonicalization is a single sort plus one image
 construction — polynomial (near-linear) instead of the factorial sweep
-the quotient used to pay per configuration.  The brute n! sweep
-survives only as a cross-check oracle (``symmetry_algorithm="brute"``,
-CLI ``--symmetry-brute``) for small rosters, and its permutation
-tables are built lazily on first use.
+the quotient used to pay per configuration.  The n! sweep it replaced
+survives only as the test suite's cross-check oracle.
 
 The quotient is *replayable*: :meth:`~SymmetryQuotient
 .canonicalize_with_perm` reports the renaming it chose, the engine
@@ -71,10 +69,8 @@ and a protocol that never declared it is rejected with
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from itertools import permutations
 from typing import TYPE_CHECKING, Hashable
 
 from repro.core.configuration import Configuration
@@ -101,10 +97,6 @@ __all__ = [
     "perm_invert",
 ]
 
-#: Valid canonicalization back-ends for the symmetry quotient.
-SYMMETRY_ALGORITHMS = ("refine", "brute")
-
-
 @dataclass(frozen=True)
 class ReductionPolicy:
     """What reductions to apply, and how paranoid to be about them.
@@ -116,11 +108,6 @@ class ReductionPolicy:
     symmetry:
         Enable the process-permutation quotient (requires the protocol's
         automata to declare ``symmetric = True``).
-    symmetry_algorithm:
-        ``"refine"`` (default) canonicalizes by partition refinement —
-        polynomial in practice, no roster cap.  ``"brute"`` keeps the
-        historical lexicographic-minimum-over-all-n!-renamings sweep as
-        a cross-check oracle for small rosters.
     replay_every:
         Replay the commutation diamond at the first reduced node and
         every *replay_every*-th one after it.  Deterministic (a node
@@ -128,25 +115,12 @@ class ReductionPolicy:
         sample identically.
     replay_pairs:
         Kept×pruned event pairs verified per sampled node.
-    symmetry_max_processes:
-        The *brute* oracle enumerates all ``n!`` renamings; above this
-        roster size it falls back (with a warning) instead of
-        exploding.  The refine algorithm ignores the cap.
     """
 
     por: bool = False
     symmetry: bool = False
-    symmetry_algorithm: str = "refine"
     replay_every: int = 64
     replay_pairs: int = 4
-    symmetry_max_processes: int = 5
-
-    def __post_init__(self) -> None:
-        if self.symmetry_algorithm not in SYMMETRY_ALGORITHMS:
-            raise ValueError(
-                "symmetry_algorithm must be one of "
-                f"{SYMMETRY_ALGORITHMS}, got {self.symmetry_algorithm!r}"
-            )
 
     @property
     def enabled(self) -> bool:
@@ -158,12 +132,13 @@ class ReductionPolicy:
         Sampling cadence does not change which nodes exist, only which
         diamonds get double-checked, so it is not part of compatibility.
         The canonicalization algorithm *is* stamped when the quotient is
-        on: refine and brute may pick different orbit representatives,
-        so their graphs must never be mixed across a resume.
+        on: snapshots canonicalized by the retired brute n! sweep picked
+        different orbit representatives, so their ``"brute"`` stamp
+        never matches and they are refused on resume.
         """
         stamp: dict[str, object] = {"por": self.por, "symmetry": self.symmetry}
         if self.symmetry:
-            stamp["symmetry_algorithm"] = self.symmetry_algorithm
+            stamp["symmetry_algorithm"] = "refine"
         return stamp
 
 
@@ -499,54 +474,40 @@ def _mix64(x: int) -> int:
 class SymmetryQuotient:
     """Canonicalize packed configurations under process-name permutation.
 
-    Two interchangeable back-ends produce a canonical orbit member and
-    the renaming that reaches it:
+    Partition-refinement canonical labeling produces a canonical orbit
+    member and the renaming that reaches it.  Per-process colors are
+    seeded from name-scrubbed digests of the process's state and its
+    buffered mail (memoized per state id / buffer id, so the
+    per-configuration cost is a handful of dict probes).  When the seed
+    colors are already discrete — the common case — the canonical form
+    is one sort plus one image construction.  Otherwise colors are
+    refined to equitability with a WL pass over scrubbed pairwise
+    relations and remaining ties are broken by individualize-and-refine
+    branching with automorphism-discovery pruning; the canonical form
+    is the lexicographically smallest leaf image, a well-defined
+    function of the orbit because the branching explores equivariantly
+    chosen cells exhaustively (up to discovered automorphisms, which by
+    definition do not change images).
 
-    * ``"refine"`` (default) — partition-refinement canonical labeling.
-      Per-process colors are seeded from name-scrubbed digests of the
-      process's state and its buffered mail (memoized per state id /
-      buffer id, so the per-configuration cost is a handful of dict
-      probes).  When the seed colors are already discrete — the common
-      case — the canonical form is one sort plus one image
-      construction.  Otherwise colors are refined to equitability with
-      a WL pass over scrubbed pairwise relations and remaining ties are
-      broken by individualize-and-refine branching with
-      automorphism-discovery pruning; the canonical form is the
-      lexicographically smallest leaf image, a well-defined function of
-      the orbit because the branching explores equivariantly chosen
-      cells exhaustively (up to discovered automorphisms, which by
-      definition do not change images).
-    * ``"brute"`` — the historical oracle: lexicographic minimum over
-      all n! renamings.  Tables are built lazily, on first use.
-
-    Both are canonical functions (constant on orbits), but they may
-    pick *different* representatives, so graphs built under one must
-    never resume under the other (the checkpoint header stamps the
-    algorithm).  All derived tables are pure functions of the codec's
-    interning tables and the packed tuples themselves — no builtin
-    string hashing, no first-seen-order interning — so canonical forms
-    are identical across processes, ``PYTHONHASHSEED`` values, and
-    checkpoint/resume boundaries.
+    The representative may differ from the lexicographic minimum over
+    all n! renamings (the test suite's oracle), so the checkpoint
+    header stamps the algorithm.  All derived tables are pure functions
+    of the codec's interning tables and the packed tuples themselves —
+    no builtin string hashing, no first-seen-order interning — so
+    canonical forms are identical across processes, ``PYTHONHASHSEED``
+    values, and checkpoint/resume boundaries.
 
     Construct via :meth:`build`, which enforces the declaration and the
     automorphism validation.
     """
 
-    def __init__(
-        self,
-        codec: "PackedCodec",
-        names: list[str],
-        algorithm: str = "refine",
-    ):
-        if algorithm not in SYMMETRY_ALGORITHMS:
-            raise ValueError(f"unknown symmetry algorithm {algorithm!r}")
+    def __init__(self, codec: "PackedCodec", names: list[str]):
         self._codec = codec
         #: Process names in codec-position order: position ``i`` of a
         #: packed tuple is ``names[i]``'s state slot.
         self._names = sorted(names, key=codec.position_of)
         self._name_set = frozenset(self._names)
         self._n = len(self._names)
-        self.algorithm = algorithm
         self.identity: tuple[int, ...] = tuple(range(self._n))
         #: packed -> (canonical, perm) with canonical == rename(packed, perm).
         self._orbit: dict[
@@ -560,16 +521,11 @@ class SymmetryQuotient:
         self._perm_mappings: list[dict[str, str]] = []
         self._perm_state_images: list[dict[int, int]] = []
         self._perm_buffer_images: list[dict[int, int]] = []
-        #: Message-level rename memo per perm id, used by the refinement
-        #: path only.  Buffers are fresh nearly every canonicalization,
-        #: but their *messages* repeat across thousands of buffers, so
-        #: refine's one-or-two leaf images per miss become dict probes.
-        #: The brute oracle deliberately bypasses it: it exists to
-        #: cross-check orbits *and* to measure the replaced PR-5
-        #: algorithm as bench_por's n!-enumeration baseline, so its
-        #: image path stays the seed's full per-(perm, buffer) rename.
+        #: Message-level rename memo per perm id.  Buffers are fresh
+        #: nearly every canonicalization, but their *messages* repeat
+        #: across thousands of buffers, so the one-or-two leaf images
+        #: per miss become dict probes.
         self._perm_message_images: list[dict[Message, Message]] = []
-        self._memoize_message_images = algorithm == "refine"
         # Refinement memos: seed color digests per (position, state id)
         # and per buffer id; pairwise relation digests for the WL pass;
         # scrubbed serializations per (value, roles) — protocol values
@@ -597,12 +553,10 @@ class SymmetryQuotient:
             tuple[int | None, int, int, dict[int, tuple[int, int]]],
         ] = {}
         self._embedded_memo: dict[Hashable, frozenset[str]] = {}
-        #: Lazily built list of all non-identity perms (brute only).
-        self._brute_perms: list[tuple[int, ...]] | None = None
-        # Observability (read by the engine and bench_por).
+        # Observability (the engine mirrors misses and images into
+        # GraphStats; tests pin all three work counters).
         self.canonical_calls = 0
         self.canonical_misses = 0
-        self.canonical_seconds = 0.0
         self.leaf_images = 0
         self.refine_branches = 0
 
@@ -613,19 +567,15 @@ class SymmetryQuotient:
 
     @classmethod
     def build(
-        cls,
-        protocol: "Protocol",
-        codec: "PackedCodec",
-        policy: ReductionPolicy,
+        cls, protocol: "Protocol", codec: "PackedCodec"
     ) -> "tuple[SymmetryQuotient | None, str | None]":
         """``(quotient, fallback_reason)`` for *protocol*.
 
         Raises :class:`SymmetryError` when the protocol never declared
         symmetry (an operator error: the flag asserts something about
         the protocol that its author did not).  A *declared* symmetry
-        that fails validation, or a roster too large for the brute
-        oracle, is a soft failure: ``(None, reason)`` so the engine can
-        warn and run unreduced.
+        that fails validation is a soft failure: ``(None, reason)`` so
+        the engine can warn and run unreduced.
         """
         names = list(protocol.process_names)
         if not declares_symmetry(protocol):
@@ -635,20 +585,10 @@ class SymmetryQuotient:
                 f"{type(protocol.process(names[0])).__name__} does not — "
                 "refusing to canonicalize an asymmetric protocol"
             )
-        if (
-            policy.symmetry_algorithm == "brute"
-            and len(names) > policy.symmetry_max_processes
-        ):
-            return None, (
-                f"roster of {len(names)} processes needs "
-                f"{len(names)}! renamings per configuration under the "
-                "brute oracle; running without the quotient "
-                "(drop --symmetry-brute to use partition refinement)"
-            )
         problems = validate_symmetry(protocol)
         if problems:
             return None, problems[0]
-        return cls(codec, names, policy.symmetry_algorithm), None
+        return cls(codec, names), None
 
     # -- canonical forms ----------------------------------------------------
 
@@ -669,12 +609,8 @@ class SymmetryQuotient:
         hit = self._orbit.get(packed)
         if hit is not None:
             return hit
-        started = time.perf_counter()
         self.canonical_misses += 1
-        if self.algorithm == "brute":
-            best, best_perm = self._brute_canonical(packed)
-        else:
-            best, best_perm = self._refine_canonical(packed)
+        best, best_perm = self._refine_canonical(packed)
         if best == packed:
             # The search may have reached the representative through a
             # non-trivial automorphism; normalize so "already canonical"
@@ -694,7 +630,6 @@ class SymmetryQuotient:
             # the representative's own entry is free — and probed often
             # (every lookup of an already-canonical row lands here).
             self._orbit[best] = (best, self.identity)
-        self.canonical_seconds += time.perf_counter() - started
         return result
 
     def orbit_perm_of(self, packed: tuple[int, ...]) -> tuple[int, ...]:
@@ -770,13 +705,6 @@ class SymmetryQuotient:
 
     def _image_buffer(self, buffer_id: int, pid: int) -> int:
         mapping = self._perm_mappings[pid]
-        if not self._memoize_message_images:
-            renamed = _rename_buffer(
-                self._codec.buffer_at(buffer_id), mapping
-            )
-            image = self._codec.intern_buffer(renamed)
-            self._perm_buffer_images[pid][buffer_id] = image
-            return image
         message_images = self._perm_message_images[pid]
         counts: dict[Message, int] = {}
         for message, count in self._codec.buffer_at(buffer_id).items():
@@ -791,27 +719,6 @@ class SymmetryQuotient:
         image = self._codec.intern_buffer(MessageBuffer._trusted(counts))
         self._perm_buffer_images[pid][buffer_id] = image
         return image
-
-    # -- internals: the brute oracle ----------------------------------------
-
-    def _brute_canonical(
-        self, packed: tuple[int, ...]
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if self._brute_perms is None:
-            identity = self.identity
-            self._brute_perms = [
-                perm
-                for perm in permutations(range(self._n))
-                if perm != identity
-            ]
-        best = packed
-        best_perm = self.identity
-        for perm in self._brute_perms:
-            candidate = self._image(packed, self._perm_id(perm))
-            if candidate < best:
-                best = candidate
-                best_perm = perm
-        return best, best_perm
 
     # -- internals: partition refinement ------------------------------------
 

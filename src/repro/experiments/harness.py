@@ -3,9 +3,11 @@
 Every table in EXPERIMENTS.md is produced by an *experiment function*
 registered here.  An experiment takes ``(quick, seed)`` and returns an
 :class:`ExperimentResult` — a list of dict rows plus notes — which the
-harness renders as an aligned table.  Benchmarks under ``benchmarks/``
-call the same functions, so the published numbers and the benchmark
-suite cannot drift apart.
+harness renders as an aligned table.  ``python -m repro.experiments``
+runs them to print the tables, and
+``tests/experiments/test_experiment_shapes.py`` asserts each table's
+paper shape, so the published numbers and the tests cannot drift
+apart.
 """
 
 from __future__ import annotations

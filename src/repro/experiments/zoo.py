@@ -101,27 +101,24 @@ class SymmetricInstance:
 
     ``depth_horizon`` is the BFS ``max_levels`` bound that keeps a
     *reduced* (``--symmetry``, optionally ``--por``) exploration inside
-    tier-1 test time on one core.  ``bench_only_unreduced`` marks the
-    rosters whose *unreduced* graph at that horizon is benchmark
-    territory — tests must not explore those without a reduction.
+    tier-1 test time on one core.
     """
 
     label: str
     protocol: Protocol
     depth_horizon: int
-    bench_only_unreduced: bool = False
 
 
 def symmetric_zoo(quick: bool = True) -> list[SymmetricInstance]:
     """Protocols whose automata declare ``symmetric = True``.
 
-    The n=3 members are small enough to explore unreduced (that is what
-    the composed-reduction identity tests compare against).  The n=5
-    members are why the quotient exists: their state spaces put the
-    brute n! canonicalizer (120 renamings per configuration) and the
-    unreduced graph out of test budgets, so tests run them reduced-only
-    at the recorded horizons and ``bench_por`` owns the unreduced
-    baselines.  Ben-Or appears in its ``coin="round"`` variant — the
+    The n=3 members (``quick=True``) are small enough to explore
+    unreduced (that is what the composed-reduction identity tests
+    compare against).  The n=5 members that ``quick=False`` adds are
+    why the quotient exists: an n! canonicalizer pays 120 renamings per
+    configuration on them, and their unreduced graphs are out of test
+    budgets, so tests explore them reduced only, at the recorded
+    horizons.  Ben-Or appears in its ``coin="round"`` variant — the
     shared per-round coin removes the private tape's name dependence,
     which is the one asymmetry in the classic protocol.
     """
@@ -145,19 +142,16 @@ def symmetric_zoo(quick: bool = True) -> list[SymmetricInstance]:
                     "wait-for-all/5",
                     make_protocol(WaitForAllProcess, 5),
                     6,
-                    bench_only_unreduced=True,
                 ),
                 SymmetricInstance(
                     "quorum-vote/5",
                     make_protocol(QuorumVoteProcess, 5),
                     5,
-                    bench_only_unreduced=True,
                 ),
                 SymmetricInstance(
                     "benor/5",
                     make_protocol(BenOrProcess, 5, coin="round"),
                     5,
-                    bench_only_unreduced=True,
                 ),
             ]
         )

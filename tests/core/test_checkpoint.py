@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 
+import repro.core.checkpoint as checkpoint
 from repro.core.checkpoint import (
     CHECKPOINT_MAGIC,
     load_checkpoint,
@@ -20,8 +21,13 @@ from repro.core.errors import (
     CheckpointMismatch,
 )
 from repro.core.exploration import GlobalConfigurationGraph
+from repro.core.reduction import ReductionPolicy
 from repro.core.resilience import CheckpointConfig
-from repro.protocols import ParityArbiterProcess, make_protocol
+from repro.protocols import (
+    ParityArbiterProcess,
+    WaitForAllProcess,
+    make_protocol,
+)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +117,24 @@ class TestRoundTrip:
             assert restored.decision_nodes(value) == graph.decision_nodes(
                 value
             )
+
+    def test_load_reads_and_verifies_the_file_once(
+        self, protocol, tmp_path, monkeypatch
+    ):
+        graph = _explored(protocol)
+        path = str(tmp_path / "g.ckpt")
+        save_checkpoint(graph, path)
+        reads = []
+        read = checkpoint._read
+
+        def counting_read(target):
+            reads.append(target)
+            return read(target)
+
+        monkeypatch.setattr(checkpoint, "_read", counting_read)
+        restored = load_checkpoint(path, protocol)
+        assert reads == [path]
+        assert restored.fingerprint() == graph.fingerprint()
 
     def test_header_readable_without_unpickling(self, protocol, tmp_path):
         graph = _explored(protocol)
@@ -214,6 +238,58 @@ def write_dict_engine_checkpoint(protocol, path):
         "successors": list(graph.successors),
     }
     _rewrite(path, dict(header, engine="dict"), state)
+
+
+SYMMETRY = ReductionPolicy(symmetry=True)
+
+
+def _symmetric_graph(budget=200_000):
+    protocol = make_protocol(WaitForAllProcess, 3)
+    graph = GlobalConfigurationGraph(protocol, reduction=SYMMETRY)
+    graph.explore(
+        protocol.initial_configuration([0, 1, 1]),
+        max_configurations=budget,
+    )
+    return protocol, graph
+
+
+def write_brute_symmetry_checkpoint(path):
+    """A correctly checksummed ``--symmetry`` snapshot whose header is
+    stamped by the retired brute n! canonicalizer; returns its
+    protocol."""
+    protocol, graph = _symmetric_graph(budget=20)
+    save_checkpoint(graph, path)
+    header, state = _read_raw(path)
+    reduction = dict(header["reduction"], symmetry_algorithm="brute")
+    _rewrite(path, dict(header, reduction=reduction), state)
+    return protocol
+
+
+class TestSymmetryStamp:
+    def test_refine_snapshot_round_trips(self, tmp_path):
+        protocol, partial = _symmetric_graph(budget=20)
+        path = str(tmp_path / "sym.ckpt")
+        save_checkpoint(partial, path)
+        assert read_checkpoint_header(path)["reduction"] == {
+            "por": False,
+            "symmetry": True,
+            "symmetry_algorithm": "refine",
+        }
+        resumed = load_checkpoint(path, protocol)
+        assert resumed.reduction == SYMMETRY
+        assert resumed.fingerprint() == partial.fingerprint()
+        _protocol, straight = _symmetric_graph()
+        resumed.explore(protocol.initial_configuration([0, 1, 1]))
+        assert resumed.fingerprint() == straight.fingerprint()
+
+    @pytest.mark.parametrize(
+        "reduction", [None, SYMMETRY], ids=["adopted", "explicit"]
+    )
+    def test_brute_stamped_snapshot_is_refused(self, tmp_path, reduction):
+        path = str(tmp_path / "brute.ckpt")
+        protocol = write_brute_symmetry_checkpoint(path)
+        with pytest.raises(CheckpointMismatch, match="brute"):
+            load_checkpoint(path, protocol, reduction=reduction)
 
 
 class TestMismatches:

@@ -123,22 +123,3 @@ class TestFallbacks:
         plain = GlobalConfigurationGraph(liar)
         plain.explore(root)
         assert graph.fingerprint() == plain.fingerprint()
-
-    def test_oversized_roster_falls_back_under_brute_only(self):
-        # The n! cap guards the brute oracle alone: partition refinement
-        # is polynomial per configuration, so the same roster sails
-        # through under the default algorithm.
-        protocol = make_protocol(WaitForAllProcess, 3)
-        brute = ReductionPolicy(
-            symmetry=True,
-            symmetry_algorithm="brute",
-            symmetry_max_processes=2,
-        )
-        with pytest.warns(UserWarning, match="renamings"):
-            graph = GlobalConfigurationGraph(protocol, reduction=brute)
-        assert graph._quotient is None
-        assert graph.stats.sym_fallbacks == 1
-        refine = ReductionPolicy(symmetry=True, symmetry_max_processes=2)
-        graph = GlobalConfigurationGraph(protocol, reduction=refine)
-        assert graph._quotient is not None
-        assert graph.stats.sym_fallbacks == 0

@@ -4,14 +4,14 @@ The quotient's contract has three independent layers, each pinned here:
 
 * **Canonical labeling** — ``canonical(C) == canonical(π·C)`` for every
   renaming π (the function is constant on orbits), the result is itself
-  a member of the orbit, and the map is idempotent.  The refine and
-  brute algorithms may elect *different* representatives, so they are
-  never compared form-for-form — only their orbit *partitions* must
-  agree.
+  a member of the orbit, and the map is idempotent.  Refinement and
+  the n! oracle in ``tests/reference.py`` may elect *different*
+  representatives, so they are never compared form-for-form — only
+  their orbit *partitions* must agree.
 * **Replayability** — a witness read off a quotient graph un-quotients
   into concrete schedules that replay through plain protocol semantics
-  and pass the Section-2 admissibility audit, under ``--symmetry``,
-  ``--por --symmetry``, and the brute oracle alike.
+  and pass the Section-2 admissibility audit, under ``--symmetry`` and
+  ``--por --symmetry`` alike.
 * **Composition** — POR×symmetry preserves the census of the unreduced
   graph, and the composed pipeline is deterministic: serial, parallel
   and checkpoint-resumed runs produce byte-identical fingerprints.
@@ -37,10 +37,10 @@ from repro.protocols import (
     QuorumVoteProcess,
     make_protocol,
 )
+from tests.reference import brute_canonicalize
 
 SYM = ReductionPolicy(symmetry=True)
 BOTH = ReductionPolicy(por=True, symmetry=True)
-BRUTE = ReductionPolicy(symmetry=True, symmetry_algorithm="brute")
 
 #: Unreduced exploration depth for building raw configuration pools.
 #: Deep enough to reach non-trivial buffers, shallow enough that the
@@ -52,7 +52,7 @@ _pools: dict[str, tuple] = {}
 
 
 def _pool(label):
-    """``(quotient, brute_quotient, packed_pool)`` for a zoo member.
+    """``(quotient, packed_pool)`` for a zoo member.
 
     The pool is drawn from an *unreduced* exploration so it contains
     raw configurations, not just orbit representatives.
@@ -72,14 +72,10 @@ def _pool(label):
         )
     pool = [graph.packed_at(node) for node in range(len(graph))]
     quotient, problem = SymmetryQuotient.build(
-        instance.protocol, graph.codec, SYM
+        instance.protocol, graph.codec
     )
     assert problem is None, problem
-    brute, problem = SymmetryQuotient.build(
-        instance.protocol, graph.codec, BRUTE
-    )
-    assert problem is None, problem
-    result = (quotient, brute, pool)
+    result = (quotient, pool)
     _pools[label] = result
     return result
 
@@ -92,7 +88,7 @@ class TestCanonicalLabeling:
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_canonical_constant_on_orbits(self, label, data):
-        quotient, _, pool = _pool(label)
+        quotient, pool = _pool(label)
         packed = data.draw(st.sampled_from(pool))
         n = len(quotient.names)
         perm = tuple(data.draw(st.permutations(range(n))))
@@ -115,16 +111,16 @@ class TestCanonicalLabeling:
     def test_refine_and_brute_agree_on_orbit_partition(self, label):
         # The two algorithms may elect different representatives, so
         # compare the partitions they induce, never the forms.
-        quotient, brute, pool = _pool(label)
+        quotient, pool = _pool(label)
         by_refine: dict[tuple, set] = {}
         by_brute: dict[tuple, set] = {}
         for index, packed in enumerate(pool):
             by_refine.setdefault(
                 quotient.canonicalize(packed), set()
             ).add(index)
-            by_brute.setdefault(brute.canonicalize(packed), set()).add(
-                index
-            )
+            by_brute.setdefault(
+                brute_canonicalize(quotient, packed)[0], set()
+            ).add(index)
         refine_partition = {frozenset(s) for s in by_refine.values()}
         brute_partition = {frozenset(s) for s in by_brute.values()}
         assert refine_partition == brute_partition
@@ -141,9 +137,7 @@ class TestCanonicalLabeling:
 
 class TestReplayableWitnesses:
     @pytest.mark.parametrize(
-        "policy",
-        [SYM, BOTH, BRUTE],
-        ids=["symmetry", "por+symmetry", "symmetry-brute"],
+        "policy", [SYM, BOTH], ids=["symmetry", "por+symmetry"]
     )
     def test_witness_round_trip_replays_and_audits(self, policy):
         # quorum-vote/3 is symmetric, order-sensitive, and broken
@@ -257,24 +251,27 @@ class TestComposedReduction:
         assert resumed.fingerprint() == fingerprint
 
 
+#: ``(canonical_misses, leaf_images, refine_branches)`` of each n=5
+#: member's composed exploration below.  An n! regression in
+#: refinement multiplies these counters long before it shows on a
+#: clock; an n! sweep would build 119 images per miss.
+N5_REFINE_WORK = {
+    "wait-for-all/5": (164, 267, 69),
+    "quorum-vote/5": (360, 549, 145),
+    "benor/5": (20, 65, 17),
+}
+
+
 class TestScaledZoo:
-    @pytest.mark.parametrize(
-        "label",
-        [
-            inst.label
-            for inst in symmetric_zoo(quick=False)
-            if inst.bench_only_unreduced
-        ],
-    )
+    @pytest.mark.parametrize("label", list(N5_REFINE_WORK))
     def test_n5_members_explore_reduced_within_horizon(self, label):
         instance = next(
             inst
             for inst in symmetric_zoo(quick=False)
             if inst.label == label
         )
-        # bench_only_unreduced means exactly that: tier-1 never runs
-        # these unreduced — the composed reduction is what makes the
-        # horizon affordable on one core.
+        # Tier-1 never runs the n=5 members unreduced — the composed
+        # reduction is what makes the horizon affordable on one core.
         mixed = next(
             initial
             for initial in instance.protocol.initial_configurations()
@@ -291,4 +288,11 @@ class TestScaledZoo:
         assert result.nodes
         assert graph._quotient is not None
         assert graph.stats.sym_fallbacks == 0
-        assert graph.stats.sym_canonical_misses > 0
+        quotient = graph._quotient
+        assert (
+            quotient.canonical_misses,
+            quotient.leaf_images,
+            quotient.refine_branches,
+        ) == N5_REFINE_WORK[label]
+        assert graph.stats.sym_canonical_misses == quotient.canonical_misses
+        assert graph.stats.sym_leaf_images == quotient.leaf_images

@@ -8,7 +8,9 @@ wins, what is always true, where the boundary sits.
 
 import pytest
 
+from repro.core.exploration import GlobalConfigurationGraph
 from repro.experiments.harness import run_experiment
+from repro.protocols import ParityArbiterProcess, make_protocol
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +238,17 @@ class TestAblations:
         for row in results("A4").rows:
             assert row["fair_decided"] == row["trials"]
             assert row["fair_agreed"] == row["trials"]
+
+    def test_a3_explosion_is_real_at_n4(self):
+        # Quick mode runs A3 at N = 3 only (154 configurations for the
+        # parity arbiter); one N = 4 closure pins the growth the full
+        # grid reports.
+        protocol = make_protocol(ParityArbiterProcess, 4)
+        growth = GlobalConfigurationGraph(protocol).explore(
+            protocol.initial_configuration([0, 0, 1, 1])
+        )
+        assert growth.complete
+        assert len(growth.nodes) == 2174
 
     def test_a3_graphs_nonempty_and_modes_sound(self, results):
         for row in results("A3").rows:

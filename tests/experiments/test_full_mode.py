@@ -33,3 +33,14 @@ def test_full_mode_theorem1_includes_theorem2_protocol():
     for row in result.rows:
         assert row["decisions"] == 0
         assert row["verified"]
+
+
+def test_full_mode_a3_graphs_grow_with_n():
+    result = run_experiment("A3", quick=False, seed=0)
+    by_family = {}
+    for row in result.rows:
+        by_family.setdefault(row["protocol"], []).append(row)
+    for rows in by_family.values():
+        ordered = sorted(rows, key=lambda row: row["N"])
+        graphs = [row["max_graph"] for row in ordered]
+        assert graphs == sorted(graphs)

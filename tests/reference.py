@@ -1,16 +1,20 @@
-"""A reference exploration, independent of the shared engine.
+"""Reference oracles, independent of the engine code they check.
 
 :func:`explore` computes successors through the protocol's own
 ``enabled_events`` / ``apply_event`` and keys rich configurations in a
 dict — an implementation independent of the kernel, the codec and the
-store.  The helpers below compare a
+store.  The helpers below it compare a
 :class:`~repro.core.exploration.GlobalConfigurationGraph` against it.
+
+:func:`brute_canonicalize` is the n! oracle for the symmetry quotient's
+partition-refinement canonical labeling.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Callable, Iterator
 
 from repro.core.configuration import Configuration
@@ -184,3 +188,20 @@ def engine_triples(graph, nodes):
         for source in nodes
         for event, target in graph.successors[source]
     }
+
+
+def brute_canonicalize(quotient, packed):
+    """``(canonical, perm)``: the lexicographically smallest image of
+    *packed* over all n! renamings, and a renaming reaching it.
+
+    Images are built by ``quotient.apply_perm``, so the oracle shares
+    only the codec's interning with the refinement search it checks.
+    It may elect a different orbit representative than the quotient:
+    compare the partitions the two induce, never the forms.
+    """
+    best, best_perm = packed, quotient.identity
+    for perm in permutations(range(len(quotient.names))):
+        candidate = quotient.apply_perm(packed, perm)
+        if candidate < best:
+            best, best_perm = candidate, perm
+    return best, best_perm

@@ -308,6 +308,26 @@ class TestResilienceFlags:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_resume_of_brute_symmetry_checkpoint_is_one_friendly_line(
+        self, tmp_path, capsys
+    ):
+        """A snapshot stamped by the retired brute canonicalizer is
+        refused with one line and exit 2, with or without --symmetry."""
+        from tests.core.test_checkpoint import (
+            write_brute_symmetry_checkpoint,
+        )
+
+        target = str(tmp_path / "brute.ckpt")
+        write_brute_symmetry_checkpoint(target)
+        for flags in ([], ["--symmetry"]):
+            code = main(["check", "wait-for-all", "--resume", target, *flags])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("cannot resume:")
+            assert "brute" in err
+            assert len(err.strip().splitlines()) == 1
+            assert "Traceback" not in err
+
     def test_stats_surface_resilience_counters(self, capsys):
         assert main(["check", "arbiter", "--stats"]) == 0
         out = capsys.readouterr().out
