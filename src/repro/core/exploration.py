@@ -139,7 +139,8 @@ class GraphStats:
     classify_time: float = 0.0
     #: Wall time spent encoding rich configurations to packed tuples.
     encode_time: float = 0.0
-    #: Aggregate busy time reported by workers (sum over processes).
+    #: Aggregate busy time reported by workers (sum over processes),
+    #: each level's mirror sync included.
     worker_busy_time: float = 0.0
     #: Wall time the parent spent blocked on worker batches; worker
     #: utilization = worker_busy_time / (parallel_time * workers).
@@ -374,10 +375,14 @@ class GlobalConfigurationGraph:
 
     ``workers > 1`` turns on batched frontier expansion over an opt-in
     ``multiprocessing`` crew: each BFS level's unexpanded nodes are
-    shipped to workers, which run their own kernel and return successor
-    deltas; the parent merges them *in node order* and does all
-    interning, so the resulting graph — ids, edge order, everything
-    downstream — is byte-identical to a serial run.
+    shipped to workers, which run their own kernel over a mirror of
+    this one's tables and return integer successor rows in this
+    engine's ids (novel states and buffers by reference into a small
+    side table, buffers as flat reps — never rich); the parent resolves
+    them, merges them *in node order* through the same kernel merge as
+    serial expansion and does all interning, so the resulting graph —
+    ids, edge order, everything downstream — is byte-identical to a
+    serial run.
 
     Invariant: a node with ``is_expanded(id)`` true has its *complete*
     successor set recorded (every enabled event, null deliveries
@@ -445,7 +450,7 @@ class GlobalConfigurationGraph:
         #: Lazy kernel-event-id -> store-event-id map, filled in
         #: edge-write order so store event ids allocate in first-write
         #: order, independent of the order kernel event ids were
-        #: assigned in (serially or from crew deltas).
+        #: assigned in (serially or from crew chunks).
         self._kernel_store_eids: list[int] = []
         self._rich: dict[int, Configuration] = {}
         #: Reduction layers (:mod:`repro.core.reduction`); both ``None``
@@ -901,8 +906,8 @@ class GlobalConfigurationGraph:
 
         Frontier rows go into the crew's shared-memory block; chunk
         descriptors go onto the stealing queue; results stream back and
-        are yielded *in chunk order* (buffering out-of-order arrivals),
-        so the merge overlaps with ongoing worker computation.
+        are decoded and yielded *in chunk order* (buffering out-of-order
+        arrivals), so the merge overlaps with ongoing worker computation.
 
         Recovery: a timed-out / dead-worker wait tears the crew down,
         backs off, rebuilds, and re-dispatches only the unfinished
@@ -911,18 +916,21 @@ class GlobalConfigurationGraph:
         engine-lifetime failure budget — is exhausted, the *remaining*
         chunks expand inline through the parent's kernel, or
         :class:`WorkerPoolError` is raised when ``serial_fallback`` is
-        off.  Model errors (:class:`~repro.core.errors.FLPError`)
-        propagate, exactly as in serial mode.
+        off.  Model errors (:class:`~repro.core.errors.FLPError`) a
+        worker hit come back as its chunk's result and propagate from
+        :func:`~repro.core.parallel.decode_chunk` after the rows before
+        them, exactly as in serial mode: no retry, no rebuild, no
+        strike against the pool.
         """
-        from repro.core.parallel import CrewFailure
+        from repro.core.parallel import CrewFailure, decode_chunk
 
-        codec = self._codec
+        kernel = self._kernel
         stats = self.stats
         config = self.resilience
         store = self._store
         flat = store.arena.rows_flat(batch)
         crew = self._ensure_pool()
-        dispatch = crew.begin(flat, len(batch), codec.width, codec)
+        dispatch = crew.begin(flat, len(batch), self._codec.width, kernel)
         attempt = 0
         attempts = max(1, config.max_retries + 1)
         serial_chunks: set[int] = set()
@@ -960,7 +968,7 @@ class GlobalConfigurationGraph:
                         if delay > 0:
                             time.sleep(delay)
                         crew.rebuild()
-                        crew.redispatch(dispatch, codec)
+                        crew.redispatch(dispatch, kernel)
                         continue
                     # Given up on the crew for this level: tear it down
                     # (lazily recreated next level unless disabled) and
@@ -977,7 +985,7 @@ class GlobalConfigurationGraph:
                     serial_chunks.update(dispatch.pending)
                     dispatch.pending.clear()
             if idx in serial_chunks:
-                expand_row = self._kernel.expand_row
+                expand_row = kernel.expand_row
                 for position in range(start, end):
                     yield expand_row(store.row(batch[position]))
                 continue
@@ -995,45 +1003,11 @@ class GlobalConfigurationGraph:
                 stats.worker_max_batch = max(
                     stats.worker_max_batch, len(batch)
                 )
-            for position, deltas in zip(range(start, end), payload):
-                yield self._materialize_deltas(batch[position], deltas)
-
-    def _materialize_deltas(
-        self, node: int, deltas
-    ) -> list[tuple[int, tuple[int, ...]]]:
-        """Turn one node's worker deltas into kernel-shaped edges.
-
-        References that were already in the synced tables arrive as
-        parent ids and need no work; novel states/buffers arrive rich
-        and are interned here, in delta order — the same first-seen
-        order the parent's own kernel would have allocated them in, so
-        id allocation (hence every packed encoding) stays byte-
-        identical.  Each worker event maps to the parent kernel's event
-        id; store event ids are still allocated at the first edge write.
-        """
-        codec = self._codec
-        intern_state = codec.intern_state
-        intern_buffer = codec.intern_buffer
-        position_of = codec.position_of
-        event_id = self._kernel.event_id
-        packed = self._store.row(node)
-        edges = []
-        for event, state, delivered, buffer in deltas:
-            successor = list(packed)
-            successor[position_of(event.process)] = (
-                state if isinstance(state, int) else intern_state(state)
+            yield from decode_chunk(
+                kernel,
+                [store.row(node) for node in batch[start:end]],
+                payload,
             )
-            # Intern the intermediate post-delivery buffer first: the
-            # serial path allocates it before the post-send buffer, and
-            # id allocation order must match exactly.
-            if delivered is not None and not isinstance(delivered, int):
-                intern_buffer(delivered)
-            successor[-1] = (
-                buffer if isinstance(buffer, int)
-                else intern_buffer(buffer)
-            )
-            edges.append((event_id(event), tuple(successor)))
-        return edges
 
     def _merge_expansions(
         self,

@@ -39,7 +39,7 @@ tables, lazily filled and permanently reusable:
   multiset allocates the next codec buffer id as an unmaterialized
   placeholder — the rich :class:`MessageBuffer` (a dict plus a
   frozenset hash) is built only if something actually asks for it
-  (:meth:`PackedCodec.buffer_at`, worker table sync, decoding).  The
+  (:meth:`PackedCodec.buffer_at`, decoding).  The
   kernel keeps the rep index *complete* — every codec buffer id has a
   registered rep, rich-path interning routes through
   :meth:`intern_rich_buffer` — so a rep miss proves novelty and id
@@ -85,7 +85,7 @@ class TransitionKernel:
 
     The kernel never allocates ids of its own for states or buffers —
     those stay codec-owned, so the kernel, ``apply_packed`` and the
-    crew's rich deltas interleave freely over one id space.
+    crew's decoded chunks interleave freely over one id space.
     """
 
     def __init__(self, codec: "PackedCodec"):
@@ -481,58 +481,6 @@ class TransitionKernel:
             successor[pos] = new_sid
             successor[-1] = b
             append((eid, tuple(successor)))
-        self.table_hits += hits
-        return out
-
-    def expand_row_deltas(
-        self, row: tuple[int, ...]
-    ) -> list[tuple[int, int, int, int]]:
-        """Edges of a packed row as component deltas: ``(kernel_event_id,
-        new_state_id, post_delivery_buffer_id, final_buffer_id)`` with
-        ``-1`` for the null-delivery intermediate.  The parallel
-        workers' wire shape — includes the intermediate buffer so the
-        parent can mirror the kernel's own id-allocation order."""
-        bid = row[-1]
-        rows = self._ev_rows
-        eids = rows[bid] if bid < len(rows) else None
-        if eids is None:
-            eids = self._ev_row(bid)
-        self.batch_expansions += 1
-        ev_pos = self._ev_pos
-        ev_mid = self._ev_mid
-        step_state = self._step_state
-        step_batch = self._step_batch
-        deliver = self._deliver
-        sends = self._sends
-        out = []
-        hits = 0
-        for eid in eids:
-            sid = row[ev_pos[eid]]
-            col = step_state[eid]
-            new_sid = (
-                col[sid] if col is not None and sid < len(col) else -1
-            )
-            if new_sid < 0:
-                new_sid, batch = self._fill_step(eid, sid)
-            else:
-                batch = step_batch[eid][sid]
-                hits += 1
-            b = bid
-            delivered = -1
-            mid = ev_mid[eid]
-            if mid >= 0:
-                key = b * _STRIDE + mid
-                delivered = deliver.get(key, -1)
-                if delivered < 0:
-                    delivered = self._fill_deliver(b, mid, key)
-                b = delivered
-            if batch:
-                key = b * _STRIDE + batch
-                sent = sends.get(key, -1)
-                if sent < 0:
-                    sent = self._fill_sends(b, batch, key)
-                b = sent
-            out.append((eid, new_sid, delivered, b))
         self.table_hits += hits
         return out
 

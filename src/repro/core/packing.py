@@ -38,7 +38,7 @@ commutativity at the packed-id level.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator
+from typing import Hashable
 
 from repro.core.configuration import Configuration
 from repro.core.errors import ProtocolViolation, UnknownProcess
@@ -329,44 +329,6 @@ class PackedCodec:
         memos — lets rich-level searches (Lemma 3's 𝒞) reuse everything
         the exploration engine already computed."""
         return self.decode(self.apply_packed(self.encode(configuration), event))
-
-    def iter_states(self) -> Iterator[tuple[int, ProcessState]]:
-        """Iterate over ``(id, state)`` pairs (diagnostics)."""
-        return iter(enumerate(self._states))
-
-    # -- worker mirror sync --------------------------------------------------
-
-    def table_sizes(self) -> tuple[int, int]:
-        """Current ``(state, buffer)`` table lengths (sync watermarks)."""
-        return len(self._states), len(self._buffers)
-
-    def table_delta(
-        self, states_from: int, buffers_from: int
-    ) -> tuple[list[ProcessState], list[MessageBuffer], int, int]:
-        """Everything interned since the given watermarks.
-
-        Shared-memory expansion workers keep a mirror of the id tables
-        so they can resolve packed rows without any per-level pickling
-        of configurations; each BFS level ships only the states and
-        buffers interned *since the previous level* — every rich object
-        crosses the process boundary at most once per run.  Returns
-        ``(new_states, new_buffers, state_total, buffer_total)``.
-        Kernel-allocated placeholders materialize here — the mirror on
-        the far side has no rep index to resolve them from.
-        """
-        buffers = self._buffers[buffers_from:]
-        if self._kernel is not None and None in buffers:
-            buffer_at = self.buffer_at
-            buffers = [
-                buffer_at(bid)
-                for bid in range(buffers_from, len(self._buffers))
-            ]
-        return (
-            self._states[states_from:],
-            buffers,
-            len(self._states),
-            len(self._buffers),
-        )
 
     # -- checkpointing ------------------------------------------------------
 

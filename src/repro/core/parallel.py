@@ -8,27 +8,34 @@ stays centralized.  The contract here:
 
 * The parent stages each level's packed rows in one
   ``multiprocessing.shared_memory`` block that persistent workers index
-  directly — no per-level pickling of configurations.  Workers keep a
-  mirror of the codec's state/buffer interning tables, synced by delta
-  once per level, so each rich object crosses the process boundary at
-  most once per run.
-* The level is cut into chunks on a shared queue that idle workers pull
-  from (dynamic self-scheduling — work stealing), replacing the old
-  per-level ``Pool.map`` barrier whose pickle volume made ``--workers``
-  an 8x *slowdown*.
-* Each worker expands its rows through its own
-  :class:`~repro.core.kernel.TransitionKernel` and returns, per node,
-  one *delta* per enabled event — ``(event, stepping process's new
-  state, post-delivery buffer or None, final buffer)`` — with
-  already-synced states/buffers referenced by their parent-assigned ids
-  and only genuinely novel ones shipped rich.  Only the parent interns,
-  so id assignment is a single-writer sequence; the intermediate
-  post-delivery buffer is included so the parent allocates buffer ids
-  in exactly the serial kernel's first-seen order, making the merged
-  graph (packed encodings included) byte-identical to a serial run.
+  directly — no per-level pickling of configurations.  The level is cut
+  into chunks on a shared queue that idle workers pull from (work
+  stealing, no per-level ``Pool.map`` barrier).
+* Workers mirror the parent's tables in the kernel's own format, synced
+  once per level (:func:`_table_delta`): new states, kernel messages
+  and kernel events rich (there are few), new buffers as flat
+  message-multiset *reps* in parent message ids, installed as
+  placeholders in the worker's
+  :class:`~repro.core.kernel.TransitionKernel`.  No rich
+  :class:`~repro.core.messages.MessageBuffer` crosses the wire.
+* Per chunk a worker returns flat ``(event, state, final buffer)`` id
+  triples in parent ids.  What the parent had not interned at the sync
+  is a reference ``~k`` into a per-chunk side table (states, events
+  and unseen messages rich, buffers as reps in parent message ids),
+  listed in first-seen order with each post-delivery intermediate
+  before the buffer its send batch produces — the order
+  :meth:`TransitionKernel.expand_row` allocates ids in.
+  :func:`decode_chunk` resolves a row's entries just before that row is
+  merged, so state and buffer ids allocate in exactly the serial order
+  and the merged graph is byte-identical to a serial run.  Kernel
+  message and event ids are not observable (store event ids are
+  assigned at first edge write), so their order is free.
+* A model error (:class:`~repro.core.errors.FLPError`) a worker raises
+  comes back as its chunk's result, after the rows that completed, and
+  the parent re-raises it unchanged: it is the protocol's, not a crew
+  failure.
 * Expansion is all-or-nothing per node: the parent applies the budget
-  while merging, discarding whole expansions that no longer fit, exactly
-  like the serial path.
+  while merging, exactly like the serial path.
 
 Worker kernels live for the lifetime of the crew, so repeated levels
 amortize their filled tables.
@@ -41,26 +48,20 @@ import os
 import queue as queue_module
 import signal
 import time
-from typing import TYPE_CHECKING
+from array import array
+from itertools import islice
+from typing import Iterator
 
+from repro.core.errors import FLPError
+from repro.core.kernel import _STRIDE, TransitionKernel
 from repro.core.protocol import Protocol
 from repro.core.resilience import ChaosConfig
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from array import array
-
-    from repro.core.packing import PackedCodec
-
 __all__ = [
     "CrewFailure",
-    "ExpansionDelta",
     "WorkStealingCrew",
+    "decode_chunk",
 ]
-
-#: One successor, as a delta against the expanded configuration: the
-#: event taken, the stepping process's new state, the intermediate
-#: post-delivery buffer (None for null deliveries), and the new buffer.
-ExpansionDelta = "tuple[Event, ProcessState, MessageBuffer | None, MessageBuffer]"
 
 
 def _claim_sentinel(path: str) -> bool:
@@ -91,6 +92,238 @@ def _maybe_inject_fault(chaos: ChaosConfig | None) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The wire: worker-side mirror and encoder, parent-side decoder
+# ---------------------------------------------------------------------------
+
+
+#: Component kinds, in sync-delta and side-table order.
+_STATE, _MSG, _EVENT, _BUFFER = range(4)
+
+
+def _table_delta(kernel: TransitionKernel, marks: tuple) -> tuple:
+    """The parent's mirror sync: everything *kernel* and its codec
+    interned since *marks* (one count per kind), and the new marks.
+
+    States, kernel messages and kernel events go rich, buffers as their
+    reps in the parent's message ids.  No buffer materializes: the rep
+    index is complete, so every buffer id has a rep.
+    """
+    tables = (kernel.codec._states, kernel._msgs, kernel._events, kernel._reps)
+    delta = tuple(table[mark:] for table, mark in zip(tables, marks))
+    return delta, tuple(map(len, tables))
+
+
+class _Mirror:
+    """A worker's kernel plus its id maps to and from the parent's.
+
+    Per component kind, ``p2l`` lists map parent ids to local ones
+    (dense, synced in parent allocation order) and ``l2p`` lists map
+    local ids back, ``-1`` (or past the end) until the parent has
+    interned that component and synced it here.
+    """
+
+    def __init__(self, protocol: Protocol):
+        self.codec = protocol.packed_codec()
+        self.kernel = TransitionKernel(self.codec)
+        self.p2l: tuple[list[int], ...] = ([], [], [], [])
+        self.l2p: tuple[list[int], ...] = ([], [], [], [])
+
+    def apply(self, marks: tuple, delta: tuple) -> None:
+        """Install one :func:`_table_delta` (the parent's tables from
+        *marks* on).  A buffer rep registers as a kernel placeholder
+        unless the worker already holds that multiset; rep order is by
+        message content, so translating message ids keeps a rep
+        sorted."""
+        if marks != tuple(map(len, self.p2l)):
+            raise RuntimeError(
+                "codec table sync out of order; parent will rebuild "
+                "the crew"
+            )
+        states, messages, events, reps = delta
+        kernel = self.kernel
+        p2l_msg = self.p2l[_MSG]
+
+        def local_rep_id(rep: tuple[int, ...]) -> int:
+            rep = list(rep)
+            for i in range(0, len(rep), 2):
+                rep[i] = p2l_msg[rep[i]]
+            rep = tuple(rep)
+            local = kernel._rep_ids.get(rep)
+            return kernel._alloc_rep(rep) if local is None else local
+
+        # Lazy maps, consumed in order: messages link before any rep
+        # is translated.
+        for p2l, l2p, local_ids in zip(self.p2l, self.l2p, (
+            map(self.codec.intern_state, states),
+            map(kernel._intern_message, messages),
+            map(kernel.event_id, events),
+            map(local_rep_id, reps),
+        )):
+            for local in local_ids:
+                if local >= len(l2p):
+                    l2p.extend([-1] * (local + 1 - len(l2p)))
+                l2p[local] = len(p2l)
+                p2l.append(local)
+
+    def expand_chunk(
+        self, view, width: int, start: int, end: int,
+        chaos: ChaosConfig | None,
+    ) -> tuple:
+        """Expand frontier rows ``start..end`` into one chunk payload.
+
+        ``(marks, triples, side, error)``: per row its edge count and
+        the side-state and side-rep table lengths after it, the flat
+        ``(event, state, final buffer)`` triples in parent ids or ``~k``
+        side references, the side tables (states, messages and events
+        rich, buffer reps in parent message ids), and the
+        :class:`FLPError` that stopped the chunk (rows before it are
+        complete), or ``None``.
+        """
+        kernel = self.kernel
+        expand_row = kernel.expand_row
+        ev_pos, ev_mid, deliver = kernel._ev_pos, kernel._ev_mid, kernel._deliver
+        reps, msgs = kernel._reps, kernel._msgs
+        state_at, event_at = self.codec.state_at, kernel.event_at
+        p2l_state, _, _, p2l_buffer = self.p2l
+        l2p_state, l2p_msg, l2p_event, l2p_buffer = self.l2p
+        n_state, n_msg, n_event, n_buffer = map(len, self.l2p)
+        marks = array("q")
+        triples: list[int] = []
+        side: tuple[list, ...] = ([], [], [], [])
+        refs: tuple[dict, ...] = ({}, {}, {}, {})
+
+        def ref(kind: int, local: int, rich) -> int:
+            """The side reference of a component the parent lacked at
+            the sync, entered on first use."""
+            found = refs[kind].get(local)
+            if found is None:
+                found = refs[kind][local] = ~len(side[kind])
+                side[kind].append(rich(local))
+            return found
+
+        def parent_rep(local: int) -> tuple[int, ...]:
+            rep = list(reps[local])
+            for i in range(0, len(rep), 2):
+                mid = rep[i]
+                parent = l2p_msg[mid] if mid < n_msg else -1
+                rep[i] = (
+                    parent if parent >= 0
+                    else ref(_MSG, mid, msgs.__getitem__)
+                )
+            return tuple(rep)
+
+        error = None
+        n_len = width - 1
+        try:
+            for r in range(start, end):
+                _maybe_inject_fault(chaos)
+                prow = view[r * width:(r + 1) * width].tolist()
+                bid = p2l_buffer[prow[n_len]]
+                local_row = [p2l_state[s] for s in prow[:n_len]]
+                local_row.append(bid)
+                edges = expand_row(tuple(local_row))
+                for eid, successor in edges:
+                    parent_eid = l2p_event[eid] if eid < n_event else -1
+                    if parent_eid < 0:
+                        parent_eid = ref(_EVENT, eid, event_at)
+                    pos = ev_pos[eid]
+                    if successor is None:
+                        triples += (parent_eid, prow[pos], prow[n_len])
+                        continue
+                    sid = successor[pos]
+                    state = l2p_state[sid] if sid < n_state else -1
+                    if state < 0:
+                        state = ref(_STATE, sid, state_at)
+                    b = successor[n_len]
+                    mid = ev_mid[eid]
+                    if mid >= 0:
+                        # A novel post-delivery intermediate enters the
+                        # side table before the post-send buffer.
+                        delivered = deliver[bid * _STRIDE + mid]
+                        if delivered != b and (
+                            delivered >= n_buffer
+                            or l2p_buffer[delivered] < 0
+                        ):
+                            ref(_BUFFER, delivered, parent_rep)
+                    final = l2p_buffer[b] if b < n_buffer else -1
+                    if final < 0:
+                        final = ref(_BUFFER, b, parent_rep)
+                    triples += (parent_eid, state, final)
+                marks.extend(
+                    (len(edges), len(side[_STATE]), len(side[_BUFFER]))
+                )
+        except FLPError as raised:
+            error = raised
+        return marks, array("q", triples), side, error
+
+
+def decode_chunk(
+    kernel: TransitionKernel, rows: list[tuple[int, ...]], payload: tuple
+) -> Iterator[list[tuple[int, tuple[int, ...] | None]]]:
+    """The parent end of the wire: yield each of *rows*' kernel-shaped
+    edge lists (``(kernel_event_id, successor)``, ``None`` for a
+    self-loop) from one chunk payload of :meth:`_Mirror.expand_chunk`.
+
+    Before a row's edges are yielded, the side states and reps that row
+    introduced resolve in the worker's first-seen order: a state through
+    the codec's interning, a rep through the rep index, a novel rep
+    allocating the next buffer id as a placeholder.  That is the order,
+    and the allocation, of the parent's own ``expand_row`` on that row,
+    and it happens after the merge of the rows before it (whose
+    reduction layers may intern too), exactly as in serial mode.  Side
+    events and messages resolve up front: their kernel ids are not
+    observable.  A worker's model error re-raises after the rows that
+    completed.
+    """
+    marks, triples, side, error = payload
+    side_states, messages, events, side_reps = side
+    mids = list(map(kernel._intern_message, messages))
+    events = list(map(kernel.event_id, events))
+    intern_state = kernel.codec.intern_state
+    rep_ids = kernel._rep_ids
+    alloc_rep = kernel._alloc_rep
+    states: list[int] = []
+    buffers: list[int] = []
+    ev_pos = kernel._ev_pos
+    it = iter(triples)
+    flat = zip(it, it, it)
+    for row, j in zip(rows, range(0, len(marks), 3)):
+        count, n_states, n_reps = marks[j:j + 3]
+        states.extend(map(intern_state, side_states[len(states):n_states]))
+        for rep in side_reps[len(buffers):n_reps]:
+            if mids:
+                rep = list(rep)
+                for i in range(0, len(rep), 2):
+                    if rep[i] < 0:
+                        rep[i] = mids[~rep[i]]
+                rep = tuple(rep)
+            bid = rep_ids.get(rep)
+            buffers.append(alloc_rep(rep) if bid is None else bid)
+        bid = row[-1]
+        base = list(row)
+        edges = []
+        append = edges.append
+        for eid, state, final in islice(flat, count):
+            if eid < 0:
+                eid = events[~eid]
+            if state < 0:
+                state = states[~state]
+            if final < 0:
+                final = buffers[~final]
+            pos = ev_pos[eid]
+            if final == bid and state == row[pos]:
+                append((eid, None))
+                continue
+            successor = base.copy()
+            successor[pos] = state
+            successor[-1] = final
+            append((eid, tuple(successor)))
+        yield edges
+    if error is not None:
+        raise error
+
+
+# ---------------------------------------------------------------------------
 # The shared-memory work-stealing crew
 # ---------------------------------------------------------------------------
 
@@ -113,19 +346,12 @@ class CrewFailure(Exception):
 def _crew_worker(protocol, chaos, task_q, result_q, sync_q) -> None:
     """Worker loop: steal chunks, expand rows straight from shared memory.
 
-    The worker mirrors the parent codec's state/buffer tables (synced by
-    delta through ``sync_q``, cumulative and in dispatch order) into a
-    local codec.  Each frontier row is translated to worker-local ids
-    and expanded through a local
-    :class:`~repro.core.kernel.TransitionKernel` — the same dense-table
-    gathers as serial expansion, no rich configuration built per row.
-    Known states/buffers are reported by parent id; novel ones ride
-    along rich, exactly once each (pickle dedups repeats within a
-    chunk).
+    Before its first chunk of a level the worker installs that level's
+    table sync (cumulative and in dispatch order) into its
+    :class:`_Mirror`; the reported busy time of that chunk includes the
+    sync, so ``worker_busy_s`` covers everything the worker did.
     """
     from multiprocessing import resource_tracker, shared_memory
-
-    from repro.core.kernel import TransitionKernel
 
     # Workers only ever *attach* to parent-owned frontier segments, but
     # ``SharedMemory(name=...)`` registers the segment with the resource
@@ -142,15 +368,7 @@ def _crew_worker(protocol, chaos, task_q, result_q, sync_q) -> None:
 
     resource_tracker.register = register_for_parent_owned_segments
 
-    local_codec = protocol.packed_codec()
-    local_kernel = TransitionKernel(local_codec)
-    # Translation tables: parent id -> local codec id (dense, synced in
-    # parent allocation order) and local id -> parent id (-1 until the
-    # parent has interned and synced it back).
-    p2l_state: list[int] = []
-    p2l_buffer: list[int] = []
-    l2p_state: list[int] = []
-    l2p_buffer: list[int] = []
+    mirror = _Mirror(protocol)
     shm = None
     view = None
     shm_name = None
@@ -162,32 +380,10 @@ def _crew_worker(protocol, chaos, task_q, result_q, sync_q) -> None:
             if task is None:
                 break
             dispatch_id, chunk_idx, start, end = task
+            started = time.perf_counter()
             while applied < dispatch_id:
-                (
-                    sync_id, name, sync_width, _n_rows,
-                    s_off, new_states, b_off, new_buffers,
-                ) = sync_q.get()
-                if (s_off, b_off) != (len(p2l_state), len(p2l_buffer)):
-                    raise RuntimeError(
-                        "codec table sync out of order; parent will "
-                        "rebuild the crew"
-                    )
-                intern_state = local_codec.intern_state
-                intern_buffer = local_codec.intern_buffer
-                for state in new_states:
-                    lid = intern_state(state)
-                    if lid >= len(l2p_state):
-                        l2p_state.extend([-1] * (lid + 1 - len(l2p_state)))
-                    l2p_state[lid] = len(p2l_state)
-                    p2l_state.append(lid)
-                for buffer in new_buffers:
-                    lid = intern_buffer(buffer)
-                    if lid >= len(l2p_buffer):
-                        l2p_buffer.extend(
-                            [-1] * (lid + 1 - len(l2p_buffer))
-                        )
-                    l2p_buffer[lid] = len(p2l_buffer)
-                    p2l_buffer.append(lid)
+                sync_id, name, sync_width, marks, delta = sync_q.get()
+                mirror.apply(marks, delta)
                 applied = sync_id
                 width = sync_width
                 if name != shm_name:
@@ -198,51 +394,9 @@ def _crew_worker(protocol, chaos, task_q, result_q, sync_q) -> None:
                     shm = shared_memory.SharedMemory(name=name)
                     shm_name = name
                     view = memoryview(shm.buf).cast("q")
-            busy_total = 0.0
-            payload = []
-            expand_deltas = local_kernel.expand_row_deltas
-            event_at = local_kernel.event_at
-            state_at = local_codec.state_at
-            buffer_at = local_codec.buffer_at
-            n_len = width - 1
-            for r in range(start, end):
-                _maybe_inject_fault(chaos)
-                started = time.perf_counter()
-                base = r * width
-                local_row = [p2l_state[view[base + i]] for i in range(n_len)]
-                local_row.append(p2l_buffer[view[base + n_len]])
-                deltas = expand_deltas(tuple(local_row))
-                entries = []
-                n_l2p_s = len(l2p_state)
-                n_l2p_b = len(l2p_buffer)
-                for eid, new_sid, delivered, b in deltas:
-                    # Novel components (no parent id yet — locally
-                    # allocated beyond the synced watermark, or
-                    # synced-slot -1) ship rich, exactly once per
-                    # object: materialize caches, so repeats are the
-                    # same object and pickle's memo collapses them on
-                    # the wire.
-                    state_out = l2p_state[new_sid] if new_sid < n_l2p_s else -1
-                    if state_out < 0:
-                        state_out = state_at(new_sid)
-                    if delivered < 0:
-                        delivered_out = None
-                    else:
-                        delivered_out = (
-                            l2p_buffer[delivered]
-                            if delivered < n_l2p_b else -1
-                        )
-                        if delivered_out < 0:
-                            delivered_out = buffer_at(delivered)
-                    buffer_out = l2p_buffer[b] if b < n_l2p_b else -1
-                    if buffer_out < 0:
-                        buffer_out = buffer_at(b)
-                    entries.append(
-                        (event_at(eid), state_out, delivered_out, buffer_out)
-                    )
-                payload.append(entries)
-                busy_total += time.perf_counter() - started
-            result_q.put((dispatch_id, chunk_idx, busy_total, payload))
+            payload = mirror.expand_chunk(view, width, start, end, chaos)
+            busy = time.perf_counter() - started
+            result_q.put((dispatch_id, chunk_idx, busy, payload))
     except (KeyboardInterrupt, EOFError, OSError):  # pragma: no cover
         pass  # parent teardown mid-wait; nothing to salvage
     finally:
@@ -255,21 +409,19 @@ def _crew_worker(protocol, chaos, task_q, result_q, sync_q) -> None:
 class _Dispatch:
     """Bookkeeping for one in-flight frontier level."""
 
-    __slots__ = ("id", "chunks", "pending", "results", "width", "n_rows")
+    __slots__ = ("id", "chunks", "pending", "results", "width")
 
     def __init__(
         self,
         dispatch_id: int,
         chunks: list[tuple[int, int]],
         width: int,
-        n_rows: int,
     ):
         self.id = dispatch_id
         self.chunks = chunks
         self.pending = set(range(len(chunks)))
-        self.results: dict[int, tuple[float, list]] = {}
+        self.results: dict[int, tuple[float, tuple]] = {}
         self.width = width
-        self.n_rows = n_rows
 
 
 class WorkStealingCrew:
@@ -288,17 +440,19 @@ class WorkStealingCrew:
     #: Liveness-check granularity while waiting on results.
     _POLL_S = 0.05
 
+    #: Chunks per worker and level: enough to balance and overlap the
+    #: parent's merge with the workers, few enough to amortize IPC.
+    _CHUNKS_PER_WORKER = 4
+
     def __init__(
         self,
         workers: int,
         protocol: Protocol,
         chaos: ChaosConfig | None = None,
-        chunks_per_worker: int = 4,
     ):
         self._workers = max(2, workers)
         self._protocol = protocol
         self._chaos = chaos
-        self._chunks_per_worker = max(1, chunks_per_worker)
         self._ctx = multiprocessing.get_context()
         self._seq = 0
         self._shm = None
@@ -313,8 +467,7 @@ class WorkStealingCrew:
         self._task_q = ctx.Queue()
         self._result_q = ctx.Queue()
         self._sync_qs = [ctx.Queue() for _ in range(self._workers)]
-        self._synced_states = 0
-        self._synced_buffers = 0
+        self._synced = (0, 0, 0, 0)
         self._pool = []
         for sync_q in self._sync_qs:
             process = ctx.Process(
@@ -384,50 +537,47 @@ class WorkStealingCrew:
 
     def begin(
         self,
-        flat_rows: "array",
+        flat_rows: array,
         n_rows: int,
         width: int,
-        codec: "PackedCodec",
+        kernel: TransitionKernel,
     ) -> _Dispatch:
         """Stage one level and enqueue its chunks; returns the handle."""
         self._frontier_segment(len(flat_rows))
         self._shm_view[: len(flat_rows)] = flat_rows
         self._seq += 1
         chunk = max(
-            1, -(-n_rows // (self._workers * self._chunks_per_worker))
+            1, -(-n_rows // (self._workers * self._CHUNKS_PER_WORKER))
         )
         chunks = [
             (start, min(start + chunk, n_rows))
             for start in range(0, n_rows, chunk)
         ]
-        dispatch = _Dispatch(self._seq, chunks, width, n_rows)
-        self._sync(dispatch, codec)
+        dispatch = _Dispatch(self._seq, chunks, width)
+        self._sync(dispatch, kernel)
         self._enqueue(dispatch, dispatch.pending)
         return dispatch
 
-    def redispatch(self, dispatch: _Dispatch, codec: "PackedCodec") -> None:
+    def redispatch(
+        self, dispatch: _Dispatch, kernel: TransitionKernel
+    ) -> None:
         """Re-enqueue only the unfinished chunks after a :meth:`rebuild`.
 
-        Completed chunk results are kept — their deltas are pure
-        functions of the frontier rows, which still sit untouched in
-        the shared segment.  A new dispatch id fences out any stale
-        results the dead crew may have left in flight.
+        Completed chunk results are kept — their payloads are pure
+        functions of the frontier rows and the tables synced for the
+        level, and the rows still sit untouched in the shared segment.
+        A new dispatch id fences out any stale results the dead crew
+        may have left in flight.
         """
         self._seq += 1
         dispatch.id = self._seq
-        self._sync(dispatch, codec)
+        self._sync(dispatch, kernel)
         self._enqueue(dispatch, dispatch.pending)
 
-    def _sync(self, dispatch: _Dispatch, codec: "PackedCodec") -> None:
-        s_off, b_off = self._synced_states, self._synced_buffers
-        new_states, new_buffers, s_total, b_total = codec.table_delta(
-            s_off, b_off
-        )
-        message = (
-            dispatch.id, self._shm.name, dispatch.width, dispatch.n_rows,
-            s_off, new_states, b_off, new_buffers,
-        )
-        self._synced_states, self._synced_buffers = s_total, b_total
+    def _sync(self, dispatch: _Dispatch, kernel: TransitionKernel) -> None:
+        marks = self._synced
+        delta, self._synced = _table_delta(kernel, marks)
+        message = (dispatch.id, self._shm.name, dispatch.width, marks, delta)
         for sync_q in self._sync_qs:
             sync_q.put(message)
 

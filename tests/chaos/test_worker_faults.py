@@ -12,8 +12,10 @@ import os
 
 import pytest
 
-from repro.core.errors import WorkerPoolError
+from repro.core.errors import ProtocolViolation, WorkerPoolError
 from repro.core.exploration import GlobalConfigurationGraph
+from repro.core.process import Process, Transition
+from repro.core.protocol import Protocol
 from repro.core.resilience import (
     ChaosConfig,
     ResilienceConfig,
@@ -124,6 +126,61 @@ class TestTimeoutExhaustion:
                 graph.explore(_root(protocol), max_configurations=BUDGET)
         finally:
             graph.close()
+
+
+class GhostWriter(Process):
+    """Counts its null steps; the third one sends to a process that
+    does not exist — a model error, raised at BFS depth 3."""
+
+    def initial_data(self, input_value):
+        return 0
+
+    def step(self, state, message_value):
+        if message_value is not None or state.data >= 3:
+            return Transition(state, ())
+        nulls = state.data + 1
+        sends = (self.send_to("ghost", "boo"),) if nulls == 3 else ()
+        return Transition(state.with_data(nulls), sends)
+
+
+class TestModelErrorsPropagate:
+    """A model error a worker hits is the protocol's fault, not the
+    crew's: it propagates unchanged, and no recovery counter moves."""
+
+    @pytest.fixture(scope="class")
+    def ghost(self):
+        return Protocol([GhostWriter(f"p{i}") for i in range(3)])
+
+    def test_serial_run_raises_the_violation(self, ghost):
+        graph = GlobalConfigurationGraph(ghost)
+        with pytest.raises(ProtocolViolation, match="ghost"):
+            graph.explore(ghost.initial_configuration([0, 0, 1]))
+
+    @pytest.mark.parametrize("serial_fallback", [True, False])
+    def test_crew_raises_it_with_no_strike(
+        self, ghost, serial_fallback, capfd
+    ):
+        graph = GlobalConfigurationGraph(
+            ghost,
+            workers=2,
+            min_batch_per_worker=1,
+            resilience=ResilienceConfig(serial_fallback=serial_fallback),
+        )
+        try:
+            with pytest.raises(ProtocolViolation, match="ghost"):
+                graph.explore(ghost.initial_configuration([0, 0, 1]))
+            stats = graph.stats
+        finally:
+            graph.close()
+        assert stats.worker_batches > 0
+        assert stats.worker_timeouts == 0
+        assert stats.worker_faults == 0
+        assert stats.worker_retries == 0
+        assert stats.pool_rebuilds == 0
+        assert stats.serial_fallbacks == 0
+        assert stats.pool_disabled == 0
+        # No worker died printing a traceback on the way.
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class TestFullSuite:

@@ -153,3 +153,38 @@ def test_resumed_run_matches_pinned_fingerprint(name, tmp_path):
     finally:
         resumed.close()
 
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_crew_half_resumed_run_matches_pinned_fingerprint(name, tmp_path):
+    # The crew parent holds buffers as rep-only placeholders, so its
+    # checkpoint carries them that way; a serial engine must resume
+    # from it and finish byte-identically.
+    factory, budget, policy, expected = CENSUS[name]
+    protocol = factory()
+    root = protocol.initial_configuration(INPUTS)
+    half = _explored(name)[1] // 2
+    graph = GlobalConfigurationGraph(
+        protocol, reduction=policy, workers=2, min_batch_per_worker=1
+    )
+    try:
+        levels = 0
+        while len(graph) < half:
+            levels += 1
+            grown = graph.explore(root, **_budget(budget), max_levels=levels)
+            if grown.complete:
+                break
+        assert graph.stats.worker_batches > 0
+        assert not graph.complete
+        path = str(tmp_path / "crew-half.ckpt")
+        save_checkpoint(graph, path)
+        saved = len(graph)
+    finally:
+        graph.close()
+
+    resumed = load_checkpoint(path, factory())
+    try:
+        resumed.explore(root, **_budget(budget))
+        assert resumed.stats.resumed_nodes == saved
+        assert resumed.fingerprint() == expected
+    finally:
+        resumed.close()

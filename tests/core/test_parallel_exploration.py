@@ -16,8 +16,9 @@ occupy every worker).
 import pytest
 
 from repro.core.exploration import GlobalConfigurationGraph
+from repro.core.resilience import ResilienceConfig
 from repro.core.valency import ValencyAnalyzer
-from repro.protocols import ParityArbiterProcess, make_protocol
+from repro.protocols import BenOrProcess, ParityArbiterProcess, make_protocol
 
 
 def parallel_graph(protocol, workers=2):
@@ -197,3 +198,53 @@ class TestStatsCounters:
         # the fill-on-miss oracle path.
         assert stats.packed_step_hits + stats.kernel_table_hits > 0
         assert stats.encode_time >= 0.0
+
+
+class TestCrewWire:
+    def test_parent_builds_no_more_rich_buffers_than_serial(self):
+        # Workers ship buffers as flat reps; the parent allocates them
+        # as kernel placeholders, exactly like serial expansion does,
+        # and never materializes a rich MessageBuffer to sync a mirror.
+        protocol = make_protocol(BenOrProcess, 3)
+        root = protocol.initial_configuration([0, 0, 1])
+        tables = []
+        for workers in (0, 2):
+            graph = GlobalConfigurationGraph(protocol, workers=workers)
+            try:
+                graph.explore(root, max_configurations=20_000)
+                assert len(graph) == 20_000
+                assert (graph.stats.worker_batches > 0) == (workers > 0)
+                buffers = graph.codec._buffers
+                tables.append(
+                    (len(buffers), sum(b is not None for b in buffers))
+                )
+            finally:
+                graph.close()
+        serial, crew = tables
+        assert crew == serial
+        assert serial[1] < serial[0] // 1000
+
+    def test_more_workers_than_cores_stay_byte_identical(self):
+        # Four workers interleave novel buffers and messages across
+        # more chunks than cores: side tables overlap and worker
+        # message ids diverge from the parent's.  A lost or reordered
+        # allocation would move the fingerprint; a wedged crew trips
+        # the timeout, which must never fire.
+        protocol = make_protocol(BenOrProcess, 3)
+        root = protocol.initial_configuration([1, 0, 0])
+        serial = GlobalConfigurationGraph(protocol)
+        serial.explore(root, max_configurations=5_000)
+        crew = GlobalConfigurationGraph(
+            protocol,
+            workers=4,
+            min_batch_per_worker=1,
+            resilience=ResilienceConfig(batch_timeout_s=60.0),
+        )
+        try:
+            crew.explore(root, max_configurations=5_000)
+            assert crew.fingerprint() == serial.fingerprint()
+            assert crew.stats.worker_chunks > 4 * crew.stats.worker_batches
+            assert crew.stats.worker_timeouts == 0
+            assert crew.stats.serial_fallbacks == 0
+        finally:
+            crew.close()
