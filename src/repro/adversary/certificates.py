@@ -170,12 +170,20 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class NonDecidingRunCertificate:
-    """Theorem 1's deliverable: an admissible prefix with no decision.
+    """Theorem 1's deliverable: a finite run prefix with no decision.
 
     ``schedule`` applied to ``initial`` must produce a run in which *no*
     configuration has a decision value.  In FAULT mode, ``faulty_process``
     takes no step at or after ``fault_point`` (its index in the
     schedule); at most this one process is faulty, as the theorem allows.
+
+    The certificate does not claim the prefix is *admissible*: nothing
+    here, and nothing :meth:`verify` checks, says that every nonfaulty
+    process keeps stepping or that every message to one is eventually
+    received.  Fairness of the prefix is measured separately by
+    :func:`repro.analysis.admissibility.analyze_admissibility` (the
+    ``fairness:`` line of ``repro attack``), which reports step gaps and
+    delivery lags rather than a verdict on an infinite run.
     """
 
     initial: Configuration
@@ -192,7 +200,15 @@ class NonDecidingRunCertificate:
         return len(self.schedule)
 
     def verify(self, protocol: Protocol) -> bool:
-        """Replay the run and check every claim."""
+        """Replay the run and check what the certificate claims.
+
+        Exactly these checks: every event is applicable when it is
+        applied; in FAULT mode the faulty process takes no step at or
+        after ``fault_point``; no configuration along the run (the
+        initial one excepted) has a decision value; and the replay ends
+        at ``final``.  Fairness is not checked — see
+        :func:`repro.analysis.admissibility.analyze_admissibility`.
+        """
         current = self.initial
         for index, event in enumerate(self.schedule):
             if (

@@ -139,7 +139,9 @@ class FLPAdversary:
         initial: Configuration | None = None,
         fair_tail_steps: int | None = None,
     ) -> NonDecidingRunCertificate:
-        """Construct an admissible non-deciding run prefix.
+        """Construct a non-deciding run prefix (its fairness is
+        measured separately, by
+        :func:`~repro.analysis.admissibility.analyze_admissibility`).
 
         Parameters
         ----------

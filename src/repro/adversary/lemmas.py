@@ -321,22 +321,35 @@ def find_bivalent_successor(
     by construction: the only way to consume ``e``'s message is to apply
     ``e`` itself, which the avoidance constraint forbids.
 
-    Per-stage cost rides on the analyzer's shared engine: every
-    ``analyzer.valency(successor)`` classifies against the one global
-    configuration graph, so successive stages of the staged adversary —
-    whose 𝒞 regions overlap heavily — resolve almost entirely from
-    cache instead of re-exploring (watch ``analyzer.stats``).
-    """
-    # Rich transitions route through the engine's packed memos.  𝒞 is
-    # searched here rather than read off the engine's edges: under
-    # --por / --symmetry those edges are pruned or quotiented.
-    apply = analyzer.graph.codec.apply_rich
+    The search runs on packed rows of the analyzer's engine (so
+    *protocol* must be the analyzer's protocol): each member steps
+    ``e`` through the engine's transition kernel, the analyzer answers
+    the successor's valency for the packed row, and then the member's
+    full kernel row, minus ``e``, extends 𝒞 — in that order, so state
+    and buffer ids allocate exactly as the engine's own successor order
+    dictates.  Rich configurations are decoded only for the returned
+    outcome.  𝒞 is searched here rather than read off the engine's
+    edges: under ``--por`` / ``--symmetry`` those edges are pruned or
+    quotiented.
 
-    # Incremental BFS state.  parents[i] = (parent id, edge event).
-    members: list[Configuration] = [configuration]
-    index: dict[Configuration, int] = {configuration: 0}
-    parents: dict[int, tuple[int, Event]] = {}
-    edges: list[tuple[int, Event, int]] = []
+    Per-stage cost rides on the analyzer's shared engine: every
+    valency query classifies against the one global configuration
+    graph, so successive stages of the staged adversary — whose 𝒞
+    regions overlap heavily — resolve almost entirely from cache
+    instead of re-exploring (watch ``analyzer.stats``).
+    """
+    graph = analyzer.graph
+    kernel = graph.kernel
+    decode = graph.codec.decode
+    step = kernel.step
+    forced = kernel.event_id(event)
+
+    # Incremental BFS state over packed rows.  parents[i] = (parent id,
+    # kernel event id of the edge); edges are (source, eid, target).
+    members: list[tuple[int, ...]] = [graph.codec.encode(configuration)]
+    index: dict[tuple[int, ...], int] = {members[0]: 0}
+    parents: dict[int, tuple[int, int]] = {}
+    edges: list[tuple[int, int, int]] = []
     queue: deque[int] = deque([0])
     successor_valency: dict[int, Valency] = {}
     dead_end_node: int | None = None
@@ -344,33 +357,22 @@ def find_bivalent_successor(
 
     def path_to(node: int) -> Schedule:
         steps: list[Event] = []
-        current = node
-        while current != 0:
-            parent, via = parents[current]
-            steps.append(via)
-            current = parent
+        while node != 0:
+            node, eid = parents[node]
+            steps.append(kernel.event_at(eid))
         steps.reverse()
         return Schedule(steps)
 
-    def classify(node: int) -> Valency | None:
-        """Classify e(members[node]); returns BIVALENT's outcome early."""
-        member = members[node]
-        if not event.is_applicable(member):  # pragma: no cover - invariant
-            raise FLPError(
-                f"event {event!r} became inapplicable inside 𝒞 — "
-                "model invariant violated"
-            )
-        successor = apply(member, event)
-        valency = analyzer.valency(successor)
-        successor_valency[node] = valency
-        return valency
-
     while queue:
         node = queue.popleft()
-        valency = classify(node)
+        member = members[node]
+        # Raises InvalidEvent if `event`'s message is missing — the
+        # model invariant above makes that impossible inside 𝒞.
+        valency = analyzer.valency(step(member, forced))
+        successor_valency[node] = valency
         if valency is Valency.BIVALENT:
             avoiding = path_to(node)
-            successor = apply(members[node], event)
+            successor = decode(step(member, forced))
             witness = analyzer.bivalence_witness(successor)
             assert witness is not None  # valency said BIVALENT
             certificate = Lemma3Certificate(
@@ -397,10 +399,11 @@ def find_bivalent_successor(
         elif valency is Valency.NONE and dead_end_node is None:
             dead_end_node = node
         # Expand the node within 𝒞 (never applying `event`).
-        for candidate in protocol.enabled_events(members[node]):
-            if candidate == event:
+        for eid, successor in kernel.expand_row(member):
+            if eid == forced:
                 continue
-            successor = apply(members[node], candidate)
+            if successor is None:
+                successor = member
             existing = index.get(successor)
             if existing is None:
                 if len(members) >= max_configurations:
@@ -409,15 +412,15 @@ def find_bivalent_successor(
                 existing = len(members)
                 members.append(successor)
                 index[successor] = existing
-                parents[existing] = (node, candidate)
+                parents[existing] = (node, eid)
                 queue.append(existing)
-            edges.append((node, candidate, existing))
+            edges.append((node, eid, existing))
 
     if dead_end_node is not None:
         return Lemma3Outcome(
             dead_end=(
                 path_to(dead_end_node).then(event),
-                apply(members[dead_end_node], event),
+                decode(step(members[dead_end_node], forced)),
             ),
             exact=exact,
             configurations_examined=len(members),
@@ -429,7 +432,7 @@ def find_bivalent_successor(
         )
 
     # No bivalent successor anywhere in e(𝒞): recover the Case-2 pivot.
-    for source, via, target in edges:
+    for source, via_eid, target in edges:
         source_valency = successor_valency[source]
         target_valency = successor_valency[target]
         if (
@@ -437,6 +440,7 @@ def find_bivalent_successor(
             and target_valency.is_univalent
             and source_valency is not target_valency
         ):
+            via = kernel.event_at(via_eid)
             if via.process != event.process:
                 # Lemma 1 makes this impossible: with p' != p the
                 # diamond would give a v-valent successor of a
@@ -447,7 +451,7 @@ def find_bivalent_successor(
                 )
             return Lemma3Outcome(
                 failure=Lemma3Failure(
-                    anchor=members[source],
+                    anchor=decode(members[source]),
                     pivot_event=via,
                     schedule_to_anchor=path_to(source),
                     anchor_valency=source_valency,

@@ -90,7 +90,7 @@ def _parse_inputs(text: str | None, n: int) -> list[int]:
 
 def _print_engine_stats(analyzer: ValencyAnalyzer) -> None:
     """Dump the shared configuration-graph engine's counters."""
-    # analyzer.stats mirrors the packed-codec counters on read, so
+    # analyzer.stats mirrors the kernel's counters on read, so
     # as_dict() is the complete picture.
     counters = analyzer.stats.as_dict()
     print()

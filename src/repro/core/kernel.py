@@ -1,17 +1,13 @@
-"""Batched transition kernel: table-driven frontier expansion.
+"""The transition kernel: the engine's one definition of successors.
 
-:meth:`PackedCodec.apply_packed` is already memoized, but its memos are
-keyed by rich objects — ``(buffer_id, Message)`` for deliveries,
-``(buffer_id, sends_tuple)`` for send batches — so every edge of every
-frontier node pays Python-object hashing, and every memo *miss* pays a
-rich :class:`~repro.core.messages.MessageBuffer` construction (a dict
-copy plus a frozenset hash).  Profiling benor/3@50k puts ~70% of serial
-exploration inside exactly that: ``Message.__init__`` per edge,
-``MessageBuffer.deliver``/``send_all`` on ~76%-miss memos, and 12.8M
-``Message.__hash__`` calls.
-
-This module replaces the per-edge rich-object work with dense integer
-tables, lazily filled and permanently reusable:
+Every successor the engine computes — frontier expansion (serial or in a
+crew worker), the POR replay guard's Lemma-1 diamonds, Lemma 3's search
+over 𝒞 — comes from this module's dense integer tables, lazily filled
+and permanently reusable.  Profiling benor/3@50k before the tables
+existed put ~70% of serial exploration in per-edge rich-object work
+(``Message.__init__`` per edge, ``MessageBuffer.deliver``/``send_all``
+on ~76%-miss memos, 12.8M ``Message.__hash__`` calls); the tables
+replace it:
 
 * **Kernel event ids.**  Every distinct :class:`Event` the exploration
   enumerates is interned once; per event id the kernel keeps the
@@ -21,10 +17,9 @@ tables, lazily filled and permanently reusable:
 * **Step tables.**  Per event id, two flat ``array('q')`` columns
   indexed by state id: the successor state id and the interned
   *send-batch* id (``-1`` marks an unfilled slot, batch 0 is the empty
-  batch).  A hit is two C-level gathers; a miss routes through
-  :meth:`PackedCodec.kernel_step` — the same ``_steps`` memo
-  :meth:`PackedCodec.apply_packed` uses, so the scalar step is the
-  fill-on-miss oracle.
+  batch).  A hit is two C-level gathers; a miss calls
+  :meth:`PackedCodec.kernel_step`, the uncached scalar oracle that runs
+  the rich transition function once per ``(event id, state id)``.
 * **Buffer transition tables.**  Deliveries and send batches become
   dicts keyed by one composite int ``buffer_id * STRIDE + message_id``
   (resp. batch id) — no tuple allocation, no Message hashing on the hot
@@ -44,14 +39,20 @@ tables, lazily filled and permanently reusable:
   registered rep, rich-path interning routes through
   :meth:`intern_rich_buffer` — so a rep miss proves novelty and id
   allocation is byte-for-byte the first-seen order of the successor
-  relation.  That is why census fingerprints are unchanged
-  (pinned by ``tests/core/test_census_fingerprints.py``).
+  relation (pinned by ``tests/core/test_census_fingerprints.py``).
 * **Per-buffer event rows.**  The enabled-event list of a buffer is a
   tuple of kernel event ids derived from its rep through the codec's
   :meth:`~PackedCodec.kernel_null_events` /
   :meth:`~PackedCodec.kernel_message_events` hooks — the exact order of
   :meth:`~repro.core.protocol.Protocol.enabled_events`, including the
   faulted codec's dead-process exclusions and lossy-channel drop edges.
+
+Two entry points read the tables: :meth:`TransitionKernel.expand_row`
+(all edges of a row, the hot loop, kept inlined) and
+:meth:`TransitionKernel.step` (one event on one row).  Both fill misses
+through the same ``_fill_step``/``_fill_deliver``/``_fill_sends``, so
+state and buffer ids allocate in the order the successors are asked
+for, whoever asks.
 
 Everything here is ``array``/``dict``/``tuple`` — no third-party
 dependencies, per the core's rule.  The kernel is owned by one codec;
@@ -65,6 +66,7 @@ import sys
 from array import array
 from typing import TYPE_CHECKING
 
+from repro.core.errors import InvalidEvent, UnknownProcess
 from repro.core.messages import MessageBuffer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,8 +86,9 @@ class TransitionKernel:
     """Dense transition tables over one :class:`PackedCodec`.
 
     The kernel never allocates ids of its own for states or buffers —
-    those stay codec-owned, so the kernel, ``apply_packed`` and the
-    crew's decoded chunks interleave freely over one id space.
+    those stay codec-owned, so the kernel, rich-side interning (encode,
+    the symmetry quotient's images) and the crew's decoded chunks
+    interleave freely over one id space.
     """
 
     def __init__(self, codec: "PackedCodec"):
@@ -160,10 +163,14 @@ class TransitionKernel:
         """The kernel event id of *event*, interning it if new."""
         eid = self._event_ids.get(event)
         if eid is None:
+            try:
+                position = self.codec.position_of(event.process)
+            except KeyError:
+                raise UnknownProcess(event.process) from None
             eid = len(self._events)
             self._event_ids[event] = eid
             self._events.append(event)
-            self._ev_pos.append(self.codec.position_of(event.process))
+            self._ev_pos.append(position)
             message = self.codec.protocol.consumed_message(event)
             self._ev_mid.append(
                 -1 if message is None else self._intern_message(message)
@@ -358,7 +365,7 @@ class TransitionKernel:
 
     def _fill_step(self, eid: int, sid: int) -> tuple[int, int]:
         """Fill the step-table slot ``(eid, sid)`` through the codec's
-        scalar step memo; returns ``(new_state_id, batch_id)``."""
+        scalar step oracle; returns ``(new_state_id, batch_id)``."""
         codec = self.codec
         new_sid, sends = codec.kernel_step(
             self._ev_pos[eid], sid, self._events[eid]
@@ -391,9 +398,7 @@ class TransitionKernel:
                 else:
                     new_rep = rep[:i] + rep[i + 2:]
                 break
-        else:  # pragma: no cover - event rows derive from the rep
-            from repro.core.errors import InvalidEvent
-
+        else:  # only step() can ask: expand_row's rows derive from the rep
             raise InvalidEvent(
                 f"{self._msgs[mid]!r} is not in the message buffer"
             )
@@ -414,6 +419,43 @@ class TransitionKernel:
         return sent
 
     # -- expansion ---------------------------------------------------------
+
+    def step(self, row: tuple[int, ...], eid: int) -> tuple[int, ...]:
+        """``e(C)`` for kernel event *eid* on the packed row *row*.
+
+        One edge of :meth:`expand_row`, computed the same way (step
+        gather, delivery, send batch, each filled on miss), except that
+        a self-loop returns the row itself rather than ``None``.  Raises
+        :class:`~repro.core.errors.InvalidEvent` when the event consumes
+        a message the row's buffer does not hold.
+        """
+        pos = self._ev_pos[eid]
+        sid = row[pos]
+        col = self._step_state[eid]
+        new_sid = col[sid] if col is not None and sid < len(col) else -1
+        if new_sid < 0:
+            new_sid, batch = self._fill_step(eid, sid)
+        else:
+            batch = self._step_batch[eid][sid]
+            self.table_hits += 1
+        b = row[-1]
+        mid = self._ev_mid[eid]
+        if mid >= 0:
+            key = b * _STRIDE + mid
+            delivered = self._deliver.get(key)
+            b = (
+                self._fill_deliver(b, mid, key)
+                if delivered is None
+                else delivered
+            )
+        if batch:
+            key = b * _STRIDE + batch
+            sent = self._sends.get(key)
+            b = self._fill_sends(b, batch, key) if sent is None else sent
+        successor = list(row)
+        successor[pos] = new_sid
+        successor[-1] = b
+        return tuple(successor)
 
     def expand_row(
         self, row: tuple[int, ...]

@@ -14,34 +14,23 @@ which hashes and compares in C.  The round-trip is lossless:
 :meth:`PackedCodec.decode` rebuilds the identical rich configuration for
 traces, witnesses, and ``describe()``.
 
-On top of the encoding, :meth:`PackedCodec.apply_packed` applies one
-event to a packed configuration without constructing rich objects at
-all, by memoizing the three independent ingredients of a step:
-
-* the *process step* ``(process, state_id, message value) ->
-  (new state_id, sends)`` — the transition function is deterministic,
-  so this is shared across every configuration in which that process
-  sits in that state;
-* the *delivery* ``(buffer_id, message) -> buffer_id``;
-* the *send batch* ``(buffer_id, sends) -> buffer_id``.
-
-A successor is then tuple surgery on small ints.  Only genuinely novel
-(state, message) steps and buffer transitions ever touch the rich
-objects — and each exactly once per codec lifetime.
-
-Soundness: every memoized ingredient is a pure function of its key
-(process determinism is the model's own hypothesis), so the packed
-application and :meth:`~repro.core.protocol.Protocol.apply_event` agree
-on every event — which the test suite asserts, including Lemma 1's
+The codec does not compute successors itself: the
+:class:`~repro.core.kernel.TransitionKernel` attached to it does, from
+dense tables over these ids.  The codec supplies the kernel's hooks —
+:meth:`PackedCodec.kernel_step`, the uncached scalar oracle that runs a
+process's rich transition function on a table miss, and the
+enabled-event hooks that fix each row's event order — and fault-aware
+codecs override exactly those hooks.  Every hook is a pure function of
+its arguments (process determinism is the model's own hypothesis), so
+kernel successors and :meth:`~repro.core.protocol.Protocol.apply_event`
+agree on every event, which the test suite asserts, including Lemma 1's
 commutativity at the packed-id level.
 """
 
 from __future__ import annotations
 
-from typing import Hashable
-
 from repro.core.configuration import Configuration
-from repro.core.errors import ProtocolViolation, UnknownProcess
+from repro.core.errors import ProtocolViolation
 from repro.core.events import NULL, Event
 from repro.core.messages import Message, MessageBuffer
 from repro.core.process import ProcessState
@@ -81,16 +70,6 @@ class PackedCodec:
         self._buffers: list[MessageBuffer | None] = []
         self._buffer_ids: dict[MessageBuffer, int] = {}
         self._kernel = None
-        # Transition memos (see module docstring).
-        self._steps: dict[
-            tuple[int, int, Hashable], tuple[int, tuple[Message, ...]]
-        ] = {}
-        self._deliveries: dict[tuple[int, Message], int] = {}
-        self._sends: dict[tuple[int, tuple[Message, ...]], int] = {}
-        #: Packed step applications answered from the memo / computed
-        #: fresh through the rich transition function.
-        self.step_hits = 0
-        self.step_misses = 0
 
     # -- interning ---------------------------------------------------------
 
@@ -218,9 +197,9 @@ class PackedCodec:
 
         The base codec only validates destinations; fault-aware codecs
         override this to filter sends (dead destinations, severed
-        links).  Runs at step-memo misses only, so any filtering must be
-        a pure function of ``(sender, destination)`` — which the static
-        fault fragment guarantees.
+        links).  Runs at kernel step-table fills only, so any filtering
+        must be a pure function of ``(sender, destination)`` — which the
+        static fault fragment guarantees.
         """
         for message in sends:
             if message.destination not in self._position:
@@ -238,27 +217,17 @@ class PackedCodec:
         """The step component of *event*: ``(new_state_id, sends)``.
 
         The :class:`~repro.core.kernel.TransitionKernel`'s fill oracle
-        for its dense step tables.  Shares ``_steps`` with
-        :meth:`apply_packed`, so the kernel and the POR replay / shared
-        transition cache fill each other's memo and state-id allocation
-        order does not depend on which of them asked first.
-        Fault-aware codecs override this for their pseudo-events.
+        for its dense step tables, uncached: the kernel asks once per
+        ``(event id, state id)`` and keeps the answer.  Fault-aware
+        codecs override this for their pseudo-events.
         """
-        step_key = (position, state_id, event.value)
-        step = self._steps.get(step_key)
-        if step is None:
-            self.step_misses += 1
-            transition = self._automata[position].apply(
-                self._states[state_id], event.value
-            )
-            step = (
-                self.intern_state(transition.state),
-                self._outgoing(event.process, transition.sends),
-            )
-            self._steps[step_key] = step
-        else:
-            self.step_hits += 1
-        return step
+        transition = self._automata[position].apply(
+            self._states[state_id], event.value
+        )
+        return (
+            self.intern_state(transition.state),
+            self._outgoing(event.process, transition.sends),
+        )
 
     def kernel_null_events(self) -> tuple[Event, ...]:
         """The null-delivery events, in enabled-event order — the fixed
@@ -271,87 +240,21 @@ class PackedCodec:
         dead destinations here)."""
         return (Event(message.destination, message.value),)
 
-    def apply_packed(
-        self, packed: tuple[int, ...], event: Event
-    ) -> tuple[int, ...]:
-        """``e(C)`` on packed tuples; rich objects only on memo misses."""
-        try:
-            position = self._position[event.process]
-        except KeyError:
-            raise UnknownProcess(event.process) from None
-        state_id = packed[position]
-        step_key = (position, state_id, event.value)
-        step = self._steps.get(step_key)
-        if step is None:
-            self.step_misses += 1
-            transition = self._automata[position].apply(
-                self._states[state_id], event.value
-            )
-            step = (
-                self.intern_state(transition.state),
-                self._outgoing(event.process, transition.sends),
-            )
-            self._steps[step_key] = step
-        else:
-            self.step_hits += 1
-        new_state_id, sends = step
-
-        buffer_id = packed[-1]
-        if event.value is not NULL:
-            message = Message(event.process, event.value)
-            delivery_key = (buffer_id, message)
-            delivered = self._deliveries.get(delivery_key)
-            if delivered is None:
-                delivered = self.intern_buffer(
-                    self.buffer_at(buffer_id).deliver(message)
-                )
-                self._deliveries[delivery_key] = delivered
-            buffer_id = delivered
-        if sends:
-            send_key = (buffer_id, sends)
-            sent = self._sends.get(send_key)
-            if sent is None:
-                sent = self.intern_buffer(
-                    self.buffer_at(buffer_id).send_all(sends)
-                )
-                self._sends[send_key] = sent
-            buffer_id = sent
-
-        successor = list(packed)
-        successor[position] = new_state_id
-        successor[-1] = buffer_id
-        return tuple(successor)
-
-    def apply_rich(
-        self, configuration: Configuration, event: Event
-    ) -> Configuration:
-        """``e(C)`` on rich configurations, routed through the packed
-        memos — lets rich-level searches (Lemma 3's 𝒞) reuse everything
-        the exploration engine already computed."""
-        return self.decode(self.apply_packed(self.encode(configuration), event))
-
     # -- checkpointing ------------------------------------------------------
 
     def snapshot_state(self) -> dict[str, object]:
-        """Picklable snapshot of every interning table and memo.
+        """Picklable snapshot of the interning tables.
 
-        The id lists are the load-bearing part — packed tuples reference
+        The id lists are the whole state — packed tuples reference
         states and buffers by dense id, and future interning must
         continue the same first-seen-order allocation for resumed
         explorations to stay byte-identical with uninterrupted ones.
-        The transition memos are included too so a resume does not pay
-        the rich-object cost again for already-seen steps.  Buffer slots
-        a kernel allocated lazily snapshot as ``None``; the kernel's own
-        snapshot carries their reps.
+        Buffer slots a kernel allocated lazily snapshot as ``None``;
+        the kernel's own snapshot carries their reps.
         """
         return {
             "states": list(self._states),
             "buffers": list(self._buffers),
-            "steps": dict(self._steps),
-            "deliveries": dict(self._deliveries),
-            "sends": dict(self._sends),
-            "step_hits": self.step_hits,
-            "step_misses": self.step_misses,
         }
 
     def restore_state(self, state: dict[str, object]) -> None:
@@ -360,7 +263,8 @@ class PackedCodec:
         Derived tables (reverse id maps, per-state outputs) are rebuilt
         rather than stored: they are pure functions of the id lists, and
         rebuilding keeps the snapshot small and impossible to
-        de-synchronize.
+        de-synchronize.  Transition memos that older snapshots carry
+        are ignored; the kernel's tables hold every step.
         """
         self._states = list(state["states"])
         self._state_ids = {s: i for i, s in enumerate(self._states)}
@@ -374,8 +278,3 @@ class PackedCodec:
         self._buffer_ids = {
             b: i for i, b in enumerate(self._buffers) if b is not None
         }
-        self._steps = dict(state["steps"])
-        self._deliveries = dict(state["deliveries"])
-        self._sends = dict(state["sends"])
-        self.step_hits = int(state["step_hits"])
-        self.step_misses = int(state["step_misses"])

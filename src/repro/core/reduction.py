@@ -81,6 +81,7 @@ from repro.core.process import ProcessState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.exploration import GraphStats
+    from repro.core.kernel import TransitionKernel
     from repro.core.packing import PackedCodec
     from repro.core.protocol import Protocol
 
@@ -315,15 +316,19 @@ class AmpleReducer:
     parallel, and resumed explorations reduce identically.  The filter
     is a pure function of the node, its full edge list, and the
     deterministic sample counter — all of which the checkpoint captures.
+    Edges are the kernel's ``(event id, successor)`` pairs, ``None``
+    standing for a self-loop, and diamonds replay through the same
+    kernel.
     """
 
     def __init__(
         self,
-        codec: "PackedCodec",
+        kernel: "TransitionKernel",
         policy: ReductionPolicy,
         stats: "GraphStats",
     ):
-        self._codec = codec
+        self._kernel = kernel
+        self._codec = kernel.codec
         self._policy = policy
         self._stats = stats
         #: False after a replay violation: the rest of the run expands
@@ -336,8 +341,8 @@ class AmpleReducer:
     def filter(
         self,
         packed: tuple[int, ...],
-        edges: list[tuple[Event, tuple[int, ...]]],
-    ) -> list[tuple[Event, tuple[int, ...]]]:
+        edges: list[tuple[int, tuple[int, ...] | None]],
+    ) -> list[tuple[int, tuple[int, ...] | None]]:
         """The edges to record for *packed*: ample subset or all of them."""
         if not self.active or len(edges) <= 1:
             return edges
@@ -345,15 +350,18 @@ class AmpleReducer:
         stats = self._stats
         # Invisibility: a decided node, or any successor that gains a
         # decision, pins the node to full expansion — pruning here could
-        # hide a decision value from the valency classifier.
+        # hide a decision value from the valency classifier.  (A
+        # self-loop's successor is the undecided node itself.)
         if codec.has_decision(packed):
             return edges
+        event_at = self._kernel.event_at
         position_of = codec.position_of
         candidate: int | None = None
-        for event, successor in edges:
-            if codec.has_decision(successor):
+        for eid, successor in edges:
+            if successor is not None and codec.has_decision(successor):
                 stats.ample_fallbacks += 1
                 return edges
+            event = event_at(eid)
             if not event.is_null_delivery:
                 position = position_of(event.process)
                 if candidate is None or position < candidate:
@@ -363,9 +371,9 @@ class AmpleReducer:
             # there is no interleaving to collapse.
             return edges
         ample = [
-            (event, successor)
-            for event, successor in edges
-            if position_of(event.process) == candidate
+            (eid, successor)
+            for eid, successor in edges
+            if position_of(event_at(eid).process) == candidate
         ]
         if len(ample) == len(edges):
             return edges
@@ -375,11 +383,11 @@ class AmpleReducer:
             or self.reduced_nodes % self._policy.replay_every == 0
         ):
             pruned = [
-                (event, successor)
-                for event, successor in edges
-                if position_of(event.process) != candidate
+                (eid, successor)
+                for eid, successor in edges
+                if position_of(event_at(eid).process) != candidate
             ]
-            if not self._diamonds_commute(ample, pruned):
+            if not self._diamonds_commute(packed, ample, pruned):
                 stats.replay_violations += 1
                 stats.ample_fallbacks += 1
                 self.active = False
@@ -387,7 +395,7 @@ class AmpleReducer:
         stats.por_pruned += len(edges) - len(ample)
         return ample
 
-    def _diamonds_commute(self, ample, pruned) -> bool:
+    def _diamonds_commute(self, packed, ample, pruned) -> bool:
         """Replay Lemma-1 diamonds between kept and pruned events.
 
         Every pair steps *different* processes by construction, so the
@@ -395,18 +403,22 @@ class AmpleReducer:
         it concretely on packed tuples guards against step semantics
         that break the model's commutation promise.
         """
-        apply_packed = self._codec.apply_packed
+        step = self._kernel.step
         stats = self._stats
         budget = self._policy.replay_pairs
         checked = 0
-        for kept_event, kept_successor in ample:
-            for pruned_event, pruned_successor in pruned:
+        for kept_eid, kept_successor in ample:
+            if kept_successor is None:
+                kept_successor = packed
+            for pruned_eid, pruned_successor in pruned:
                 if checked >= budget:
                     return True
                 checked += 1
                 stats.replay_checks += 1
-                meet_via_kept = apply_packed(kept_successor, pruned_event)
-                meet_via_pruned = apply_packed(pruned_successor, kept_event)
+                if pruned_successor is None:
+                    pruned_successor = packed
+                meet_via_kept = step(kept_successor, pruned_eid)
+                meet_via_pruned = step(pruned_successor, kept_eid)
                 if meet_via_kept != meet_via_pruned:
                     return False
         return True

@@ -640,41 +640,20 @@ class GraphStore:
 
     # -- edges -------------------------------------------------------------
 
-    def set_edges(
+    def set_edges_flat(
         self,
         node: int,
-        edges: Iterable[tuple["Event", int]],
-        perms: Iterable[tuple[int, ...]] | None = None,
+        flat_pairs: list[int],
+        perm_ids: list[int] | None = None,
     ) -> None:
-        """Record *node*'s ``(event, target)`` list, interning events.
+        """Record *node*'s complete edge list from pre-interned
+        ``(event_id, target)`` pairs.
 
-        With perm tracking on, *perms* carries the renaming the
-        quotient applied to each edge's raw successor, aligned with
-        *edges*.
+        With perm tracking on, *perm_ids* carries one interned renaming
+        id (:meth:`perm_id`) per edge: what the symmetry quotient
+        applied to the edge's raw successor.
         """
-        event_id = self.event_id
-        flat: list[int] = []
-        for event, target in edges:
-            flat.append(event_id(event))
-            flat.append(target)
-        perm_ids = None
-        if self.edges.tracking_perms:
-            perm_id = self.perm_id
-            perm_ids = [perm_id(perm) for perm in perms or ()]
-        self.edges.set_edges(node, flat, perm_ids)
-
-    def set_edges_flat(self, node: int, flat_pairs: list[int]) -> None:
-        """Record *node*'s edges from pre-interned ``(event_id, target)``
-        pairs — the batched kernel's append run, which skips the
-        per-edge Event hashing of :meth:`set_edges`.  Not available with
-        perm tracking (the symmetry quotient routes through the rich
-        merge, which carries the per-edge renamings)."""
-        if self.edges.tracking_perms:
-            raise ValueError(
-                "flat edge appends cannot carry per-edge renamings; "
-                "use set_edges when perm tracking is on"
-            )
-        self.edges.set_edges(node, flat_pairs, None)
+        self.edges.set_edges(node, flat_pairs, perm_ids)
 
     def edge_list(self, node: int) -> list[tuple["Event", int]]:
         """*node*'s successors as ``[(Event, target), ...]``."""

@@ -107,35 +107,59 @@ def shortest_schedule(
     graph: GlobalConfigurationGraph,
     source: int,
     targets: set[int],
+    renaming: tuple[int, ...] | None = None,
 ) -> Schedule | None:
-    """Shortest event path in *graph* from node *source* into *targets*.
+    """Shortest concrete schedule from node *source* into *targets*.
 
-    Returns ``None`` when no target is reachable from *source* inside the
-    explored portion of the graph.
+    Breadth-first over :meth:`GlobalConfigurationGraph.edge_records`;
+    ``None`` when no target is reachable from *source* inside the
+    explored portion of the graph.  Each edge out of node ``K`` records
+    the event ``e`` applied to ``K`` and the renaming ``σ`` taking the
+    raw successor ``e(K)`` to the next node — the symmetry quotient's
+    orbit reroute, the identity without a quotient.  Keeping the
+    accumulated renaming ``τ`` with the invariant
+    ``concrete_i = rename(K_i, τ_i)``, seeded ``τ_0 = ρ⁻¹`` from the
+    *renaming* ``ρ`` that took the concrete start configuration to
+    *source* (identity by default), each step lifts to the concrete
+    event ``rename(e, τ_i)`` and ``τ`` advances by ``τ ∘ σ⁻¹``.
+    Renaming is a validated protocol automorphism, so enabledness and
+    decision values transfer step by step and the schedule replays from
+    the concrete start through plain protocol semantics.
     """
+    from repro.core.reduction import perm_compose, perm_invert
+
+    path: list[tuple[Event, tuple[int, ...]]] | None = None
     if source in targets:
-        return Schedule()
-    parents: dict[int, tuple[int, Event]] = {}
+        path = []
+    parents: dict[int, tuple[int, Event, tuple[int, ...]]] = {}
     queue: deque[int] = deque([source])
     seen = {source}
-    while queue:
+    while queue and path is None:
         node = queue.popleft()
-        for event, successor in graph.successors[node]:
+        for event, successor, sigma in graph.edge_records(node):
             if successor in seen:
                 continue
-            parents[successor] = (node, event)
+            parents[successor] = (node, event, sigma)
             if successor in targets:
-                events: list[Event] = []
-                current = successor
-                while current != source:
-                    parent, via = parents[current]
-                    events.append(via)
-                    current = parent
-                events.reverse()
-                return Schedule(events)
+                path = []
+                while successor != source:
+                    successor, via, perm = parents[successor]
+                    path.append((via, perm))
+                path.reverse()
+                break
             seen.add(successor)
             queue.append(successor)
-    return None
+    if path is None:
+        return None
+    quotient = graph._quotient
+    tau = perm_invert(renaming or tuple(range(graph.codec.width - 1)))
+    events: list[Event] = []
+    for event, sigma in path:
+        if quotient is not None:
+            event = quotient.rename_event(event, tau)
+        events.append(event)
+        tau = perm_compose(tau, perm_invert(sigma))
+    return Schedule(events)
 
 
 class ValencyAnalyzer:
@@ -191,7 +215,7 @@ class ValencyAnalyzer:
         quotient too: every orbit edge records the renaming it applied,
         so a quotient path is *un-quotiented* back into a concrete
         schedule by composing the recorded renamings out (see
-        :meth:`_unquotient_schedule`).
+        :func:`shortest_schedule`).
     """
 
     def __init__(
@@ -249,15 +273,13 @@ class ValencyAnalyzer:
     def stats(self) -> GraphStats:
         """Engine observability counters (see :class:`GraphStats`).
 
-        The codec's step-memo counters are mirrored on every read so
-        they stay fresh even when transitions are applied outside
+        The kernel's counters, and a faulted protocol's fault counters,
+        are mirrored in on every read, so they include work done outside
         :meth:`GlobalConfigurationGraph.explore` (the adversary's
         event-filtered searches do exactly that).
         """
+        self.graph._sync_stats()
         stats = self.graph.stats
-        codec = self.graph.codec
-        stats.packed_step_hits = codec.step_hits
-        stats.packed_step_misses = codec.step_misses
         fault_counters = getattr(self.protocol, "fault_counters", None)
         if fault_counters is not None:
             for key, value in fault_counters.as_dict().items():
@@ -266,8 +288,11 @@ class ValencyAnalyzer:
 
     # -- queries ---------------------------------------------------------------
 
-    def valency(self, configuration: Configuration) -> Valency:
-        """The valency of *configuration* (cached)."""
+    def valency(
+        self, configuration: "Configuration | tuple[int, ...]"
+    ) -> Valency:
+        """The valency of *configuration* (cached): a rich configuration
+        or a packed row of this analyzer's engine."""
         cached = self._lookup(configuration)
         if cached is not None:
             self.graph.stats.cache_hits += 1
@@ -281,7 +306,9 @@ class ValencyAnalyzer:
         valency = self._node_valency[node]
         return valency if valency is not None else Valency.UNKNOWN
 
-    def _lookup(self, configuration: Configuration) -> Valency | None:
+    def _lookup(
+        self, configuration: "Configuration | tuple[int, ...]"
+    ) -> Valency | None:
         """Cached valency without growing the graph, else ``None``."""
         node = self.graph.find(configuration)
         if node is None or node >= len(self._node_valency):
@@ -333,93 +360,29 @@ class ValencyAnalyzer:
         already exist in the explored region — no re-exploration.
 
         Under the symmetry quotient the recorded path connects orbit
-        representatives; :meth:`_unquotient_schedule` composes the
-        per-edge renamings back out so the returned schedules replay
-        concretely from *configuration* itself.
+        representatives; :func:`shortest_schedule` composes the per-edge
+        renamings back out so the returned schedules replay concretely
+        from *configuration* itself.
         """
         if self.valency(configuration) is not Valency.BIVALENT:
             return None
         graph = self.graph
+        packed = graph.codec.encode(configuration)
+        renaming = None
         if graph._quotient is not None:
-            to_zero = self._unquotient_schedule(
-                configuration, set(graph.decision_nodes(ZERO))
-            )
-            to_one = self._unquotient_schedule(
-                configuration, set(graph.decision_nodes(ONE))
-            )
-        else:
-            source = graph.node_id(configuration)
-            to_zero = shortest_schedule(
-                graph, source, set(graph.decision_nodes(ZERO))
-            )
-            to_one = shortest_schedule(
-                graph, source, set(graph.decision_nodes(ONE))
-            )
+            packed, renaming = graph._quotient.canonicalize_with_perm(packed)
+        source = graph.store.find(packed)
+        if source is None:  # pragma: no cover - valency interned it
+            return None
+        to_zero = shortest_schedule(
+            graph, source, set(graph.decision_nodes(ZERO)), renaming
+        )
+        to_one = shortest_schedule(
+            graph, source, set(graph.decision_nodes(ONE)), renaming
+        )
         if to_zero is None or to_one is None:  # pragma: no cover - guarded
             return None
         return BivalenceWitness(configuration, to_zero, to_one)
-
-    def _unquotient_schedule(
-        self, configuration: Configuration, targets: set[int]
-    ) -> Schedule | None:
-        """A concrete schedule from *configuration* into *targets*.
-
-        The quotient graph stores, for each edge out of a canonical node
-        ``K``, the event ``e`` that was applied to ``K`` and the
-        renaming ``σ`` taking the raw successor ``e(K)`` to the next
-        canonical node.  Maintaining the *accumulated* renaming ``τ``
-        with the invariant ``concrete_i = rename(K_i, τ_i)`` (seeded by
-        the renaming ``ρ`` that canonicalized *configuration* itself,
-        ``τ_0 = ρ⁻¹``), each canonical step lifts to the concrete event
-        ``rename(e, τ_i)`` and ``τ`` advances by ``τ ∘ σ⁻¹`` — renaming
-        is a validated protocol automorphism, so enabledness and
-        decision values transfer step by step.  The result replays from
-        *configuration* through plain protocol semantics with no
-        reference to the quotient at all.
-        """
-        from repro.core.reduction import perm_compose, perm_invert
-
-        graph = self.graph
-        quotient = graph._quotient
-        canonical, rho = quotient.canonicalize_with_perm(
-            graph.codec.encode(configuration)
-        )
-        source = graph.store.find(canonical)
-        if source is None:
-            return None
-        # Shortest canonical path, remembering each edge's renaming.
-        path: list[tuple[Event, tuple[int, ...]]] | None = None
-        if source in targets:
-            path = []
-        else:
-            parents: dict[int, tuple[int, Event, tuple[int, ...]]] = {}
-            queue: deque[int] = deque([source])
-            seen = {source}
-            while queue and path is None:
-                node = queue.popleft()
-                for event, successor, sigma in graph.edge_records(node):
-                    if successor in seen:
-                        continue
-                    parents[successor] = (node, event, sigma)
-                    if successor in targets:
-                        path = []
-                        current = successor
-                        while current != source:
-                            parent, via, perm = parents[current]
-                            path.append((via, perm))
-                            current = parent
-                        path.reverse()
-                        break
-                    seen.add(successor)
-                    queue.append(successor)
-        if path is None:
-            return None
-        tau = perm_invert(rho)
-        events: list[Event] = []
-        for event, sigma in path:
-            events.append(quotient.rename_event(event, tau))
-            tau = perm_compose(tau, perm_invert(sigma))
-        return Schedule(events)
 
     def classify_initials(self) -> dict[tuple[int, ...], Valency]:
         """Valency of every initial configuration, keyed by input vector."""

@@ -190,8 +190,9 @@ class FaultedProtocol(Protocol):
 class FaultedPackedCodec(PackedCodec):
     """Packed codec speaking :class:`FaultedProtocol`'s step semantics.
 
-    Three deviations from the base codec, each mirroring one clause of
-    the static fault fragment:
+    The codec computes no successors itself; it overrides the
+    transition kernel's hooks, one per clause of the static fault
+    fragment:
 
     * :meth:`kernel_null_events` / :meth:`kernel_message_events`
       reproduce the faulted :meth:`~FaultedProtocol.enabled_events`
@@ -199,19 +200,21 @@ class FaultedPackedCodec(PackedCodec):
       after each delivery to a lossy destination — so the kernel
       interns the same successors in the same order as a breadth-first
       search over the protocol methods;
-    * :meth:`kernel_step` and :meth:`apply_packed` handle drop
-      pseudo-events as pure buffer transitions (the stepping process's
-      state id is untouched), sharing the delivery memo with the
-      corresponding real delivery — removing a copy is the same buffer
-      operation whether the process or the channel consumed it;
+    * :meth:`kernel_step` makes a drop pseudo-event a pure buffer
+      transition (the stepping process's state id is untouched, nothing
+      is sent); the kernel tags a drop with the message it unwraps, so
+      it shares the delivery table with the corresponding real delivery
+      — removing a copy is the same buffer operation whether the
+      process or the channel consumed it;
     * :meth:`_outgoing` filters sends to dead destinations and across
-      severed links at step-memo misses (sound: the filter depends only
+      severed links at step-table fills (sound: the filter depends only
       on the static ``(sender, destination)`` pair).
 
-    Fault counters bump on memoized paths only at miss time, so their
-    exact values differ from a run through the protocol methods; the
-    invariant consumers rely on — a fault clause that shaped the graph
-    has a nonzero counter — holds either way.
+    Fault counters bump only when the kernel fills a table slot or
+    builds an event row, so their exact values differ from a run
+    through the protocol methods; the invariant consumers rely on — a
+    fault clause that shaped the graph has a nonzero counter — holds
+    either way.
     """
 
     def __init__(self, protocol: FaultedProtocol):
@@ -227,8 +230,7 @@ class FaultedPackedCodec(PackedCodec):
         """Drop pseudo-events are pure buffer transitions: the stepping
         process's state id is unchanged and nothing is sent, so their
         dense step-table rows are the identity with the empty batch.
-        Like :meth:`apply_packed`, the drop counter bumps at fill time
-        only."""
+        The drop counter bumps at fill time only."""
         if isinstance(event.value, Drop):
             self._counters.drop_edges += 1
             return state_id, ()
@@ -252,25 +254,6 @@ class FaultedPackedCodec(PackedCodec):
         if message.destination in self._lossy:
             events.append(Event(message.destination, Drop(message.value)))
         return tuple(events)
-
-    def apply_packed(
-        self, packed: tuple[int, ...], event: Event
-    ) -> tuple[int, ...]:
-        if isinstance(event.value, Drop):
-            buffer_id = packed[-1]
-            message = Message(event.process, event.value.value)
-            delivery_key = (buffer_id, message)
-            delivered = self._deliveries.get(delivery_key)
-            if delivered is None:
-                delivered = self.intern_buffer(
-                    self.buffer_at(buffer_id).deliver(message)
-                )
-                self._deliveries[delivery_key] = delivered
-            self._counters.drop_edges += 1
-            successor = list(packed)
-            successor[-1] = delivered
-            return tuple(successor)
-        return super().apply_packed(packed, event)
 
     def _outgoing(
         self, sender: str, sends: tuple[Message, ...]

@@ -78,17 +78,34 @@ def save_without_kernel_tables(graph, path):
     _rewrite(path, header, state)
 
 
+def save_with_codec_memos(graph, path):
+    """Save *graph* the way engines whose codec kept rich-keyed
+    transition memos wrote snapshots: the codec payload also carries
+    the step / delivery / send memos and the step hit counters."""
+    save_checkpoint(graph, path)
+    header, state = _read_raw(path)
+    state["codec"].update(
+        steps={}, deliveries={}, sends={}, step_hits=0, step_misses=0
+    )
+    _rewrite(path, header, state)
+
+
 def _save(graph, path, kernel_tables):
-    if kernel_tables:
+    if kernel_tables == "memos":
+        save_with_codec_memos(graph, path)
+    elif kernel_tables:
         save_checkpoint(graph, path)
     else:
         save_without_kernel_tables(graph, path)
 
 
-#: Snapshots as this engine writes them, and as engines that never ran
-#: the kernel wrote them (no kernel tables in the payload).
+#: Snapshots as this engine writes them, as engines that never ran the
+#: kernel wrote them (no kernel tables in the payload), and as engines
+#: whose codec also memoized transitions wrote them.
 SNAPSHOT_KINDS = pytest.mark.parametrize(
-    "kernel_tables", [True, False], ids=["packed", "packed-no-kernel"]
+    "kernel_tables",
+    [True, False, "memos"],
+    ids=["packed", "packed-no-kernel", "packed-codec-memos"],
 )
 
 

@@ -1,19 +1,19 @@
 """Tests for the packed configuration codec.
 
 The codec must be *semantically invisible*: encode/decode is lossless,
-``apply_packed`` agrees with ``Protocol.apply_event`` on every event,
-the kernel enumerates exactly ``Protocol.enabled_events``, and the
-shared engine builds the graph the per-root ``explore()`` builds.  The
-property test at the bottom checks Lemma 1's commutativity claim
-directly at the packed-id level: disjoint schedules commute as literal
-tuple equality.
+the kernel over it enumerates exactly ``Protocol.enabled_events`` and
+its successors (``step`` and ``expand_row``) agree with
+``Protocol.apply_event`` on every event, and the shared engine builds
+the graph the per-root ``explore()`` builds.  The property test at the
+bottom checks Lemma 1's commutativity claim directly at the packed-id
+level: disjoint schedules commute as literal tuple equality.
 """
 
 import random
 
 import pytest
 
-from repro.core.errors import UnknownProcess
+from repro.core.errors import InvalidEvent, UnknownProcess
 from repro.core.events import NULL, Event
 from repro.core.exploration import GlobalConfigurationGraph
 from repro.core.kernel import TransitionKernel
@@ -27,6 +27,11 @@ from tests.reference import closure_triples, engine_triples, explore
 @pytest.fixture(scope="module")
 def codec(arbiter3):
     return PackedCodec(arbiter3)
+
+
+@pytest.fixture(scope="module")
+def kernel(arbiter3):
+    return TransitionKernel(PackedCodec(arbiter3))
 
 
 @pytest.fixture(scope="module")
@@ -93,38 +98,52 @@ class TestPackedSemantics:
                     protocol.enabled_events(configuration)
                 )
 
-    def test_apply_packed_matches_apply_event(
-        self, arbiter3, codec, explored
-    ):
+    def test_step_matches_apply_event(self, arbiter3, kernel, explored):
+        codec = kernel.codec
         for configuration in explored:
             packed = codec.encode(configuration)
             for event in arbiter3.enabled_events(configuration):
                 rich = arbiter3.apply_event(configuration, event)
-                assert codec.decode(
-                    codec.apply_packed(packed, event)
-                ) == rich
+                successor = kernel.step(packed, kernel.event_id(event))
+                assert codec.decode(successor) == rich
 
-    def test_apply_packed_memoizes_steps(self, arbiter3):
-        codec = PackedCodec(arbiter3)
-        packed = codec.encode(arbiter3.initial_configuration([0, 0, 1]))
-        event = Event("p1", NULL)
-        codec.apply_packed(packed, event)
-        misses = codec.step_misses
-        codec.apply_packed(packed, event)
-        assert codec.step_misses == misses
-        assert codec.step_hits >= 1
+    def test_step_fills_each_table_slot_once(self, arbiter3):
+        kernel = TransitionKernel(PackedCodec(arbiter3))
+        packed = kernel.codec.encode(
+            arbiter3.initial_configuration([0, 0, 1])
+        )
+        eid = kernel.event_id(Event("p1", NULL))
+        first = kernel.step(packed, eid)
+        fills, hits = kernel.fallback_steps, kernel.table_hits
+        assert kernel.step(packed, eid) == first
+        assert kernel.fallback_steps == fills
+        assert kernel.table_hits == hits + 1
 
-    def test_apply_packed_unknown_process(self, codec, explored):
-        packed = codec.encode(explored[0])
+    def test_unknown_process_rejected(self, kernel):
         with pytest.raises(UnknownProcess):
-            codec.apply_packed(packed, Event("p99", NULL))
+            kernel.event_id(Event("p99", NULL))
 
-    def test_apply_rich_round_trips(self, arbiter3, codec, explored):
-        for configuration in explored[:8]:
-            for event in arbiter3.enabled_events(configuration):
-                assert codec.apply_rich(configuration, event) == (
-                    arbiter3.apply_event(configuration, event)
+    def test_step_rejects_missing_message(self, arbiter3, kernel):
+        packed = kernel.codec.encode(
+            arbiter3.initial_configuration([0, 0, 1])
+        )
+        eid = kernel.event_id(Event("p0", ("claim", "p1", 0)))
+        with pytest.raises(InvalidEvent):
+            kernel.step(packed, eid)
+
+    def test_expand_row_matches_apply_event(self, arbiter3, kernel, explored):
+        codec = kernel.codec
+        for configuration in explored:
+            for eid, successor in kernel.expand_row(
+                codec.encode(configuration)
+            ):
+                expected = arbiter3.apply_event(
+                    configuration, kernel.event_at(eid)
                 )
+                if successor is None:  # the self-loop sentinel
+                    assert expected == configuration
+                else:
+                    assert codec.decode(successor) == expected
 
 
 class TestEngineParity:
@@ -211,10 +230,9 @@ class TestLemma1PackedCommutativity:
     process sets, then check σ2(σ1(C)) == σ1(σ2(C)) *as packed tuples*.
     """
 
-    def _applicable(self, codec, packed, schedule):
+    def _applicable(self, kernel, packed, schedule):
         """Apply *schedule*; None if some event is not applicable."""
-        from repro.core.errors import InvalidEvent
-
+        codec = kernel.codec
         for event in schedule:
             if event.value is not NULL:
                 message_values = {
@@ -226,12 +244,13 @@ class TestLemma1PackedCommutativity:
                 if event.value not in message_values:
                     return None
             try:
-                packed = codec.apply_packed(packed, event)
+                packed = kernel.step(packed, kernel.event_id(event))
             except InvalidEvent:  # pragma: no cover - guarded above
                 return None
         return packed
 
-    def _random_schedule(self, rng, codec, packed, processes, length):
+    def _random_schedule(self, rng, kernel, packed, processes, length):
+        codec = kernel.codec
         events = []
         for _ in range(length):
             process = rng.choice(processes)
@@ -240,7 +259,7 @@ class TestLemma1PackedCommutativity:
             choices.extend(Event(process, m.value) for m in pending)
             event = rng.choice(choices)
             events.append(event)
-            applied = self._applicable(codec, packed, [event])
+            applied = self._applicable(kernel, packed, [event])
             if applied is None:
                 return None
             packed = applied
@@ -248,7 +267,8 @@ class TestLemma1PackedCommutativity:
 
     def test_disjoint_schedules_commute(self, arbiter3, explored):
         rng = random.Random(0xF1)
-        codec = PackedCodec(arbiter3)
+        kernel = TransitionKernel(PackedCodec(arbiter3))
+        codec = kernel.codec
         names = list(arbiter3.process_names)
         checked = 0
         for _ in range(200):
@@ -258,24 +278,24 @@ class TestLemma1PackedCommutativity:
             split = rng.randrange(1, len(names))
             left, right = names[:split], names[split:]
             sigma1 = self._random_schedule(
-                rng, codec, packed, left, rng.randrange(1, 4)
+                rng, kernel, packed, left, rng.randrange(1, 4)
             )
             if sigma1 is None:
                 continue
             sigma2 = self._random_schedule(
-                rng, codec, packed, right, rng.randrange(1, 4)
+                rng, kernel, packed, right, rng.randrange(1, 4)
             )
             if sigma2 is None:
                 continue
-            via1 = self._applicable(codec, packed, sigma1)
+            via1 = self._applicable(kernel, packed, sigma1)
             via1 = (
-                self._applicable(codec, via1, sigma2)
+                self._applicable(kernel, via1, sigma2)
                 if via1 is not None
                 else None
             )
-            via2 = self._applicable(codec, packed, sigma2)
+            via2 = self._applicable(kernel, packed, sigma2)
             via2 = (
-                self._applicable(codec, via2, sigma1)
+                self._applicable(kernel, via2, sigma1)
                 if via2 is not None
                 else None
             )

@@ -169,35 +169,27 @@ class TestPoolLifecycle:
 
 
 class TestStatsCounters:
-    def test_rich_applications_surface_in_stats(self, parity3):
+    def test_kernel_work_outside_explore_surfaces_in_stats(self, parity3):
         analyzer = ValencyAnalyzer(parity3)
         root = parity3.initial_configuration([0, 0, 1])
         analyzer.valency(root)
         before = analyzer.stats.as_dict()
-        # Apply a transition outside explore(), the way Lemma 3's search
+        # Step a transition outside explore(), the way Lemma 3's search
         # does, from a root the engine never reached: the first step
-        # misses the codec memo, the second hits, and both movements
-        # show up in GraphStats on the next read.
+        # fills the kernel's tables, the second hits them, and both
+        # movements show up in GraphStats on the next read.
         from repro.core.events import NULL, Event
 
-        elsewhere = parity3.initial_configuration([1, 1, 0])
-        apply = analyzer.graph.codec.apply_rich
-        apply(elsewhere, Event("p0", NULL))
-        apply(elsewhere, Event("p0", NULL))
+        kernel = analyzer.graph.kernel
+        elsewhere = analyzer.graph.codec.encode(
+            parity3.initial_configuration([1, 1, 0])
+        )
+        eid = kernel.event_id(Event("p0", NULL))
+        kernel.step(elsewhere, eid)
+        kernel.step(elsewhere, eid)
         after = analyzer.stats.as_dict()
-        assert after["packed_step_misses"] > before["packed_step_misses"]
-        assert after["packed_step_hits"] > before["packed_step_hits"]
-
-    def test_packed_step_counters_move(self, parity3):
-        analyzer = ValencyAnalyzer(parity3)
-        analyzer.valency(parity3.initial_configuration([0, 0, 1]))
-        stats = analyzer.stats
-        assert stats.packed_step_misses > 0
-        # With the batched kernel (the default), hot-path reuse lands in
-        # the dense table counters; scalar memo hits only accumulate on
-        # the fill-on-miss oracle path.
-        assert stats.packed_step_hits + stats.kernel_table_hits > 0
-        assert stats.encode_time >= 0.0
+        assert after["kernel_fallback_steps"] > before["kernel_fallback_steps"]
+        assert after["kernel_table_hits"] > before["kernel_table_hits"]
 
 
 class TestCrewWire:

@@ -12,6 +12,7 @@ The key invariants come straight from the paper:
 import pytest
 
 from repro.core.events import Event
+from repro.core.exploration import GlobalConfigurationGraph
 from repro.core.valency import Valency, ValencyAnalyzer, shortest_schedule
 from repro.core.values import ONE, ZERO
 from repro.protocols import (
@@ -163,15 +164,23 @@ class TestWaitForAllValencies:
 
 
 class TestShortestSchedule:
+    """On the engine's graph, where node 0 is the first root explored."""
+
+    @staticmethod
+    def _engine(protocol, root):
+        graph = GlobalConfigurationGraph(protocol)
+        assert graph.explore(root).complete
+        return graph
+
     def test_trivial_when_source_in_targets(self, arbiter3):
         root = arbiter3.initial_configuration([0, 0, 1])
-        graph = explore(arbiter3, root)
+        graph = self._engine(arbiter3, root)
         assert shortest_schedule(graph, 0, {0}) is not None
         assert len(shortest_schedule(graph, 0, {0})) == 0
 
     def test_path_replays(self, arbiter3):
         root = arbiter3.initial_configuration([0, 0, 1])
-        graph = explore(arbiter3, root)
+        graph = self._engine(arbiter3, root)
         targets = graph.decision_nodes(1)
         schedule = shortest_schedule(graph, 0, targets)
         assert schedule is not None
@@ -180,6 +189,6 @@ class TestShortestSchedule:
 
     def test_unreachable_targets_return_none(self, arbiter3):
         root = arbiter3.initial_configuration([0, 0, 0])
-        graph = explore(arbiter3, root)
+        graph = self._engine(arbiter3, root)
         # No 1-decision exists with all-zero proposers.
         assert shortest_schedule(graph, 0, graph.decision_nodes(1)) is None

@@ -151,8 +151,6 @@ class TestStatsFlag:
         out = capsys.readouterr().out
         assert "kernel_table_hits" in out
         assert "kernel_fallback_steps" in out
-        assert "packed_step_hits" in out
-        assert "packed_step_misses" in out
         assert "workers" in out
 
     def test_map_stats(self, capsys):
