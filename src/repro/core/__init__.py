@@ -14,6 +14,7 @@ from repro.core.correctness import (
     check_determinism,
     check_partial_correctness,
     check_validity,
+    root_closures,
 )
 from repro.core.errors import (
     AdversaryStuck,
@@ -62,6 +63,7 @@ __all__ = [
     "check_determinism",
     "check_partial_correctness",
     "check_validity",
+    "root_closures",
     "AdversaryStuck",
     "FLPError",
     "InvalidEvent",

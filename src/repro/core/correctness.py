@@ -11,12 +11,18 @@ check (every reachable decision value is some process's input), which is
 stronger than condition (2) and satisfied by all non-degenerate protocols
 in the zoo; the paper's trivial always-0 protocol fails condition (2) and
 serves as this module's negative control.
+
+Both checks read the same per-root closures: one shared engine grown
+from every initial configuration in turn.  Each builds them itself by
+default; :func:`root_closures` builds them once, so a caller running
+both (``repro check``) explores the accessible set once and passes the
+result to each as ``closures=``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.core.configuration import Configuration
 from repro.core.exploration import (
@@ -29,6 +35,7 @@ from repro.core.values import ONE, ZERO
 
 __all__ = [
     "PartialCorrectnessReport",
+    "root_closures",
     "check_partial_correctness",
     "ValidityReport",
     "check_validity",
@@ -109,23 +116,44 @@ def _root_closures(
         yield graph, initial, growth
 
 
+#: One ``(graph, initial, growth)`` triple per initial configuration.
+RootClosure = tuple[GlobalConfigurationGraph, Configuration, GrowthResult]
+
+
+def root_closures(
+    protocol: Protocol,
+    max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
+) -> list[RootClosure]:
+    """Every root's closure at once, for more than one check to read.
+
+    The materialized :func:`_root_closures` sequence: one shared
+    engine, each root's growth under the per-root budget.  A check fed
+    these returns exactly the report it builds on its own.  Drop the
+    list when done — it holds the whole engine.
+    """
+    return list(_root_closures(protocol, max_configurations))
+
+
 def check_partial_correctness(
     protocol: Protocol,
     max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
+    *,
+    closures: Iterable[RootClosure] | None = None,
 ) -> PartialCorrectnessReport:
     """Check the paper's partial-correctness conditions by exploration.
 
     Explores the accessible set from every initial configuration (all
-    2^N input vectors) under the given per-root budget.
+    2^N input vectors) under the given per-root budget, or reads
+    *closures* from :func:`root_closures` (the budget is then theirs).
     """
+    if closures is None:
+        closures = _root_closures(protocol, max_configurations)
     agreement_ok = True
     witness: Configuration | None = None
     zero_reachable = one_reachable = False
     complete = True
     explored = 0
-    for graph, _initial, growth in _root_closures(
-        protocol, max_configurations
-    ):
+    for graph, _initial, growth in closures:
         nodes = growth.nodes
         explored += len(nodes)
         complete = complete and growth.complete
@@ -246,13 +274,19 @@ def check_determinism(
 def check_validity(
     protocol: Protocol,
     max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
+    *,
+    closures: Iterable[RootClosure] | None = None,
 ) -> ValidityReport:
-    """Check validity over the accessible set of every initial config."""
+    """Check validity over the accessible set of every initial config.
+
+    Stops at the first violating root; *closures* as for
+    :func:`check_partial_correctness`.
+    """
+    if closures is None:
+        closures = _root_closures(protocol, max_configurations)
     complete = True
     explored = 0
-    for graph, initial, growth in _root_closures(
-        protocol, max_configurations
-    ):
+    for graph, initial, growth in closures:
         nodes = growth.nodes
         explored += len(nodes)
         complete = complete and growth.complete

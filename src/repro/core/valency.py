@@ -6,18 +6,22 @@ if |V| = 1 — 0-valent or 1-valent according to the corresponding decision
 value." (paper, Section 3)
 
 For finite protocol instances valency is computable: build the reachable
-graph and take reverse reachability from decision configurations.  For
-bounded explorations the analyzer returns sound answers where the budget
-permits and an explicit :attr:`Valency.UNKNOWN` otherwise — never a
-silent guess.
+graph and take reverse reachability from decision configurations.  The
+analyzer does so incrementally — each pass examines only the nodes not
+yet classified, reading every classified successor as an exact summary
+of what it reaches.  For bounded explorations the analyzer returns
+sound answers where the budget permits and an explicit
+:attr:`Valency.UNKNOWN` otherwise — never a silent guess.
 """
 
 from __future__ import annotations
 
 import enum
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from typing import Container
 
 from repro.core.configuration import Configuration
 from repro.core.events import Event, Schedule
@@ -103,10 +107,45 @@ class BivalenceWitness:
         )
 
 
+#: Reach bits of the classifier: the node reaches a 0-decision, a
+#: 1-decision, an unexpanded (frontier) node.
+_ZERO_BIT = 1
+_ONE_BIT = 2
+_FRONTIER_BIT = 4
+_BOTH = _ZERO_BIT | _ONE_BIT
+_REACH = _BOTH | _FRONTIER_BIT
+#: Per-node classifier state: 0 while unexamined; an *open* node
+#: (undetermined, it reaches the frontier) keeps its reach bits, 4-7;
+#: a *settled* node is ``_SETTLED`` plus the decision bits it reaches,
+#: 8-11.  Either way ``state & _REACH`` is exactly what the node
+#: reaches, as long as its forward closure is unchanged.
+_SETTLED = 8
+_VALENCY_OF_STATE = (None,) * _SETTLED + (
+    Valency.NONE,
+    Valency.ZERO_VALENT,
+    Valency.ONE_VALENT,
+    Valency.BIVALENT,
+)
+
+
+class _DecisionView:
+    """``node in view`` iff *node* carries the decision of *bit*: a
+    membership view over the analyzer's per-node decision flags."""
+
+    __slots__ = ("flags", "bit")
+
+    def __init__(self, flags: bytearray, bit: int):
+        self.flags = flags
+        self.bit = bit
+
+    def __contains__(self, node: int) -> bool:
+        return bool(self.flags[node] & self.bit)
+
+
 def shortest_schedule(
     graph: GlobalConfigurationGraph,
     source: int,
-    targets: set[int],
+    targets: Container[int],
     renaming: tuple[int, ...] | None = None,
 ) -> Schedule | None:
     """Shortest concrete schedule from node *source* into *targets*.
@@ -168,17 +207,18 @@ class ValencyAnalyzer:
     The analyzer owns one :class:`GlobalConfigurationGraph` and
     classifies it *incrementally*: the first query from a configuration
     grows the shared graph to cover that configuration's forward
-    closure, then one reverse-reachability pass (flat bitset maps over
-    CSR adjacency) classifies every node whose valency is pinned down
-    soundly.  Any later query whose configuration lies in the
-    already-classified region — including every
-    :meth:`bivalence_witness` lookup — is a pure cache hit: no second
-    exploration.
+    closure, then a reverse-reachability pass over the still
+    undetermined nodes only — those interned since the last pass plus
+    those left open because they reach the frontier — classifies every
+    node whose valency is pinned down soundly (see :meth:`_classify`).
+    Any later query whose configuration lies in the already-classified
+    region — including every :meth:`bivalence_witness` lookup — is a
+    pure cache hit: no second exploration.
 
     Classification is monotone-sound across growth: an expanded node's
     forward closure never changes (expansion records the complete
     successor set), so a valency assigned once stays valid as new roots
-    extend the graph.
+    extend the graph, and later passes read it as an exact summary.
 
     Parameters
     ----------
@@ -254,8 +294,20 @@ class ValencyAnalyzer:
                 reduction=reduction,
                 store=store,
             )
-        #: Valency per node id; ``None`` = not (yet) soundly determined.
-        self._node_valency: list[Valency | None] = []
+        #: Classifier state per node id (see ``_VALENCY_OF_STATE``).
+        self._state = bytearray()
+        #: Ids below ``_seen`` that classification left open, and the
+        #: unexpanded ones among them; every id at or past ``_seen`` is
+        #: new since the last pass.
+        self._open = array("i")
+        self._open_frontier = array("i")
+        self._seen = 0
+        #: Scratch: each examined node's index within the current pass.
+        self._local = array("i")
+        #: Decision bits per node id, extended from the engine's
+        #: id-ordered decision lists past the cursor of each value.
+        self._decides = bytearray()
+        self._decision_cursor = {ZERO: 0, ONE: 0}
 
     def close(self) -> None:
         """Release the engine's worker pool (no-op for serial engines)."""
@@ -303,7 +355,7 @@ class ValencyAnalyzer:
         )
         self._classify()
         node = self.graph.node_id(configuration)
-        valency = self._node_valency[node]
+        valency = _VALENCY_OF_STATE[self._state[node]]
         return valency if valency is not None else Valency.UNKNOWN
 
     def _lookup(
@@ -311,9 +363,9 @@ class ValencyAnalyzer:
     ) -> Valency | None:
         """Cached valency without growing the graph, else ``None``."""
         node = self.graph.find(configuration)
-        if node is None or node >= len(self._node_valency):
+        if node is None or node >= len(self._state):
             return None
-        return self._node_valency[node]
+        return _VALENCY_OF_STATE[self._state[node]]
 
     def peek(self, configuration: Configuration) -> Valency:
         """Cached valency, :attr:`Valency.UNKNOWN` if undetermined —
@@ -327,9 +379,9 @@ class ValencyAnalyzer:
         The census path uses this to classify whole closures without
         materializing rich configurations from the packed engine.
         """
-        if node >= len(self._node_valency):
+        if node >= len(self._state):
             return Valency.UNKNOWN
-        cached = self._node_valency[node]
+        cached = _VALENCY_OF_STATE[self._state[node]]
         return cached if cached is not None else Valency.UNKNOWN
 
     def is_bivalent(self, configuration: Configuration) -> bool:
@@ -357,7 +409,9 @@ class ValencyAnalyzer:
 
         A pure lookup over the shared graph: BIVALENT was proved by
         reverse reachability over recorded edges, so both witness paths
-        already exist in the explored region — no re-exploration.
+        already exist in the explored region — no re-exploration.  The
+        searches test targets against the classifier's decision flags,
+        so no set of decision nodes is built per call.
 
         Under the symmetry quotient the recorded path connects orbit
         representatives; :func:`shortest_schedule` composes the per-edge
@@ -374,11 +428,12 @@ class ValencyAnalyzer:
         source = graph.store.find(packed)
         if source is None:  # pragma: no cover - valency interned it
             return None
+        decides = self._sync_decisions()
         to_zero = shortest_schedule(
-            graph, source, set(graph.decision_nodes(ZERO)), renaming
+            graph, source, _DecisionView(decides, _ZERO_BIT), renaming
         )
         to_one = shortest_schedule(
-            graph, source, set(graph.decision_nodes(ONE)), renaming
+            graph, source, _DecisionView(decides, _ONE_BIT), renaming
         )
         if to_zero is None or to_one is None:  # pragma: no cover - guarded
             return None
@@ -395,47 +450,132 @@ class ValencyAnalyzer:
 
     # -- internals ---------------------------------------------------------------
 
-    def _classify(self) -> None:
-        """Assign sound valencies to every unclassified node.
+    def _sync_decisions(self) -> bytearray:
+        """The per-node decision flags, extended to the whole graph.
 
-        One reverse-reachability pass over the whole shared graph (flat
-        bitset maps).  A node is classified when its relation to
-        decision nodes and to the unexplored frontier pins V down:
+        The engine appends decision nodes at intern time, i.e. in id
+        order, so only the entries past each value's cursor are new.
+        """
+        graph = self.graph
+        decides = self._decides
+        decides.extend(bytes(len(graph) - len(decides)))
+        cursor = self._decision_cursor
+        for value, bit in ((ZERO, _ZERO_BIT), (ONE, _ONE_BIT)):
+            nodes = graph.decision_nodes(value)
+            for node in nodes[cursor[value]:]:
+                decides[node] |= bit
+            cursor[value] = len(nodes)
+        return decides
+
+    def _classify(self) -> None:
+        """Assign sound valencies to the nodes not yet classified.
+
+        Only undetermined nodes are examined: those interned since the
+        last pass, plus earlier ones left open because they reach the
+        frontier — and those only when one of the open frontier nodes
+        has been expanded since, since otherwise no open node's forward
+        closure changed and its recorded reach bits still hold.  Each
+        examined node gets reach bits — a 0-decision, a 1-decision, the
+        frontier — seeded from its own decision values, from being
+        unexpanded, and from every successor outside the examined set,
+        read as an exact summary: BIVALENT reaches both values; 0-valent,
+        1-valent and NONE reach what the label says and no frontier
+        node, because their forward closure is fully expanded and never
+        changes; an unchanged open node reaches what its bits say.  The
+        bits then propagate backwards over the examined subgraph only
+        (flat arrays, one worklist), and a node is classified when they
+        pin V down:
 
         * reaches 0-decisions and 1-decisions  → BIVALENT (always sound);
         * reaches exactly one decision value and cannot reach the
           frontier → that univalent class;
         * reaches nothing and cannot reach the frontier → NONE;
-        * anything else → left undetermined (so a later query with a
-          larger budget can improve it).
+        * anything else → left open (so a later query with a larger
+          budget can improve it).
 
-        Already-classified nodes are never revisited: their forward
+        The verdicts equal a reverse-reachability pass over the whole
+        shared graph (``tests/reference.py`` keeps that pass as the
+        oracle).  Classified nodes are never revisited: their forward
         closures are fixed (expansion records complete successor sets),
         so earlier verdicts remain sound as the graph grows.
         """
         graph = self.graph
         total = len(graph)
-        node_valency = self._node_valency
-        if len(node_valency) < total:
-            node_valency.extend([None] * (total - len(node_valency)))
         started = time.perf_counter()
-        reach_zero = graph.reaching_mask(graph.decision_nodes(ZERO))
-        reach_one = graph.reaching_mask(graph.decision_nodes(ONE))
-        frontier = graph.frontier_ids()
-        reach_frontier = graph.reaching_mask(frontier) if frontier else None
-        for node in range(total):
-            if node_valency[node] is not None:
-                continue
-            in_zero = reach_zero[node]
-            in_one = reach_one[node]
-            if in_zero and in_one:
-                node_valency[node] = Valency.BIVALENT
-            elif reach_frontier is not None and reach_frontier[node]:
-                continue  # V not pinned down; stay honest.
-            elif in_zero:
-                node_valency[node] = Valency.ZERO_VALENT
-            elif in_one:
-                node_valency[node] = Valency.ONE_VALENT
+        decides = self._sync_decisions()
+        state = self._state
+        state.extend(bytes(total - len(state)))
+        expanded = graph._expanded
+        if any(expanded[node] for node in self._open_frontier):
+            work = self._open
+            self._open = array("i")
+            self._open_frontier = array("i")
+            for node in work:
+                state[node] = 0
+        else:
+            work = array("i")
+        work.extend(range(self._seen, total))
+        self._seen = total
+        count = len(work)
+        graph.stats.classify_visits += count
+        local = self._local
+        local.frombytes(bytes(local.itemsize * (total - len(local))))
+        for index, node in enumerate(work):
+            local[node] = index
+
+        # Seed reach bits; collect the edges inside the examined set
+        # (state 0) as (target, source) local-index pairs.
+        reach = bytearray(count)
+        heads = array("i")
+        tails = array("i")
+        edge_targets = graph.store.edge_targets
+        for index, node in enumerate(work):
+            bits = decides[node]
+            if not expanded[node]:
+                bits |= _FRONTIER_BIT
+            for target in edge_targets(node):
+                summary = state[target]
+                if summary:
+                    bits |= summary & _REACH
+                elif target != node:
+                    heads.append(local[target])
+                    tails.append(index)
+            reach[index] = bits
+
+        # Reverse adjacency of the examined subgraph, by counting sort.
+        starts = array("i", bytes(4 * (count + 1)))
+        for head in heads:
+            starts[head + 1] += 1
+        for index in range(count):
+            starts[index + 1] += starts[index]
+        fill = starts[:count]
+        preds = array("i", bytes(4 * len(heads)))
+        for head, tail in zip(heads, tails):
+            preds[fill[head]] = tail
+            fill[head] += 1
+        del heads, tails, fill
+
+        # Push every node's bits into its examined predecessors; a node
+        # is queued again only when its bits grow, at most three times.
+        stack = [index for index in range(count) if reach[index]]
+        while stack:
+            index = stack.pop()
+            bits = reach[index]
+            for k in range(starts[index], starts[index + 1]):
+                pred = preds[k]
+                if bits | reach[pred] != reach[pred]:
+                    reach[pred] |= bits
+                    stack.append(pred)
+
+        for index, node in enumerate(work):
+            bits = reach[index]
+            if bits & _BOTH == _BOTH:
+                state[node] = _SETTLED | _BOTH
+            elif bits & _FRONTIER_BIT:
+                state[node] = bits  # V not pinned down; stay honest.
+                self._open.append(node)
+                if not expanded[node]:
+                    self._open_frontier.append(node)
             else:
-                node_valency[node] = Valency.NONE
+                state[node] = _SETTLED | bits
         graph.stats.classify_time += time.perf_counter() - started

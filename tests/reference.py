@@ -7,7 +7,9 @@ store.  The helpers below it compare a
 :class:`~repro.core.exploration.GlobalConfigurationGraph` against it.
 
 :func:`brute_canonicalize` is the n! oracle for the symmetry quotient's
-partition-refinement canonical labeling.
+partition-refinement canonical labeling, and :func:`classify_whole_graph`
+the whole-graph oracle for the valency analyzer's incremental
+classification.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from repro.core.configuration import Configuration
 from repro.core.events import Event
 from repro.core.exploration import DEFAULT_MAX_CONFIGURATIONS
 from repro.core.protocol import Protocol
+from repro.core.valency import Valency
+from repro.core.values import ONE, ZERO
 
 
 @dataclass
@@ -205,3 +209,38 @@ def brute_canonicalize(quotient, packed):
         if candidate < best:
             best, best_perm = candidate, perm
     return best, best_perm
+
+
+def classify_whole_graph(graph, valencies: list) -> None:
+    """One whole-graph classification pass over *graph*, in place.
+
+    *valencies* holds a :class:`Valency` or ``None`` (undetermined) per
+    node id and is extended to the graph's size.  Three
+    reverse-reachability masks over the whole shared graph — into the
+    0-decisions, the 1-decisions and the frontier — then a scan of
+    every id: a node that reaches both decision values is BIVALENT; one
+    that reaches the frontier stays undetermined; any other is the
+    univalent class of what it reaches, or NONE.  Classified nodes are
+    skipped, exactly as the analyzer never revisits them.
+    """
+    total = len(graph)
+    valencies.extend([None] * (total - len(valencies)))
+    reach_zero = graph.reaching_mask(graph.decision_nodes(ZERO))
+    reach_one = graph.reaching_mask(graph.decision_nodes(ONE))
+    frontier = graph.frontier_ids()
+    reach_frontier = graph.reaching_mask(frontier) if frontier else None
+    for node in range(total):
+        if valencies[node] is not None:
+            continue
+        in_zero = reach_zero[node]
+        in_one = reach_one[node]
+        if in_zero and in_one:
+            valencies[node] = Valency.BIVALENT
+        elif reach_frontier is not None and reach_frontier[node]:
+            continue
+        elif in_zero:
+            valencies[node] = Valency.ZERO_VALENT
+        elif in_one:
+            valencies[node] = Valency.ONE_VALENT
+        else:
+            valencies[node] = Valency.NONE
