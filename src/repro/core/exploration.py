@@ -19,6 +19,7 @@ from __future__ import annotations
 import atexit
 import functools
 import hashlib
+import json
 import logging
 import time
 import warnings
@@ -379,11 +380,11 @@ class GlobalConfigurationGraph:
     shipped to workers, which run their own kernel over a mirror of
     this one's tables and return integer successor rows in this
     engine's ids (novel states and buffers by reference into a small
-    side table, buffers as flat reps — never rich); the parent resolves
-    them, merges them *in node order* through the same kernel merge as
-    serial expansion and does all interning, so the resulting graph —
-    ids, edge order, everything downstream — is byte-identical to a
-    serial run.
+    side table, buffers as the kernel's wire reps — never rich); the
+    parent resolves them, merges them *in node order* through the same
+    kernel merge as serial expansion and does all interning, so the
+    resulting graph — ids, edge order, everything downstream — is
+    byte-identical to a serial run.
 
     Invariant: a node with ``is_expanded(id)`` true has its *complete*
     successor set recorded (every enabled event, null deliveries
@@ -1190,6 +1191,58 @@ class GlobalConfigurationGraph:
         for node in range(len(store)):
             digest.update(repr(store.row(node)).encode())
             digest.update(repr(store.edge_list(node)).encode())
+        return digest.hexdigest()
+
+    def semantic_fingerprint(self) -> str:
+        """SHA-256 over the graph with no interned id inside it.
+
+        In node-id order, each node's decoded configuration (per process
+        its name, input, output and data; the buffer as sorted
+        ``(destination, value, count)`` triples) and its
+        ``(event, target id)`` list, values in the JSON form of
+        :func:`repro.adversary.bundle._encode_value`.  Node ids still
+        count (they are BFS first-seen order), but state, buffer and
+        event ids do not, so this pin holds across any change to how a
+        packed row encodes a configuration, where :meth:`fingerprint`
+        would move.
+        """
+        from repro.adversary.bundle import _encode_value
+
+        consumed = self.protocol.consumed_message
+
+        def event_form(event: Event) -> list:
+            message = consumed(event)
+            if message is None:
+                return [event.process, "null", None]
+            kind = (
+                "deliver" if event.value == message.value
+                else type(event.value).__name__
+            )
+            return [event.process, kind, _encode_value(message.value)]
+
+        dumps = functools.partial(
+            json.dumps, sort_keys=True, separators=(",", ":")
+        )
+        digest = hashlib.sha256()
+        store = self._store
+        for node in range(len(store)):
+            configuration = self._codec.decode(store.row(node))
+            states = [
+                [name, state.input, state.output, _encode_value(state.data)]
+                for name, state in configuration.states()
+            ]
+            buffer = sorted(
+                (
+                    [message.destination, _encode_value(message.value), count]
+                    for message, count in configuration.buffer.items()
+                ),
+                key=dumps,
+            )
+            edges = [
+                [event_form(event), target]
+                for event, target in store.edge_list(node)
+            ]
+            digest.update(dumps([states, buffer, edges]).encode())
         return digest.hexdigest()
 
     # -- queries -----------------------------------------------------------------

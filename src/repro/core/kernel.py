@@ -20,39 +20,52 @@ replace it:
   batch).  A hit is two C-level gathers; a miss calls
   :meth:`PackedCodec.kernel_step`, the uncached scalar oracle that runs
   the rich transition function once per ``(event id, state id)``.
-* **Buffer transition tables.**  Deliveries and send batches become
-  dicts keyed by one composite int ``buffer_id * STRIDE + message_id``
-  (resp. batch id) — no tuple allocation, no Message hashing on the hot
-  path.
-* **Buffer reps.**  To fill a buffer-transition miss *without*
-  constructing a rich buffer, every buffer id gets a *rep*: a flat
-  ``(message_id, count, ...)`` tuple sorted by the
-  ``(destination, repr(value))`` key that
-  :meth:`MessageBuffer.distinct_messages` sorts by.  A delivery is a
-  count decrement, a send batch a sorted merge; the resulting rep is
-  probed against a rep->buffer-id dict, and a *genuinely novel*
-  multiset allocates the next codec buffer id as an unmaterialized
-  placeholder — the rich :class:`MessageBuffer` (a dict plus a
-  frozenset hash) is built only if something actually asks for it
-  (:meth:`PackedCodec.buffer_at`, decoding).  The
-  kernel keeps the rep index *complete* — every codec buffer id has a
-  registered rep, rich-path interning routes through
-  :meth:`intern_rich_buffer` — so a rep miss proves novelty and id
+* **Inboxes.**  The paper's message buffer is a multiset of ``(p, m)``
+  pairs, so it splits by destination with no loss.  The kernel keeps a
+  buffer id as a tuple of *inbox ids*, one per destination slot in
+  sorted process order (the packed row's order).  An inbox's *rep* is a
+  flat ``(message_id, count, ...)`` tuple sorted by ``repr(value)``;
+  the reps of a buffer's inboxes, concatenated, are the multiset in the
+  ``(destination, repr(value))`` order of
+  :meth:`MessageBuffer.distinct_messages`.  Few inboxes recur under
+  many buffers (benor/3 at 50k configurations: 2,764 inboxes under
+  157,317 buffer ids).
+* **Inbox transition tables.**  A delivery is a count decrement in one
+  inbox, keyed ``inbox_id * STRIDE + message_id``; a send batch is
+  split into per-destination *pieces*, each a sorted merge into one
+  inbox, keyed ``inbox_id * STRIDE + piece_id``.  Both are dicts of
+  composite ints — no tuple allocation, no Message hashing — and nearly
+  every lookup hits.  A step then rebuilds the inbox tuple with the
+  changed slots and probes the tuple -> buffer-id index.
+* **Lazy buffers.**  A *genuinely novel* inbox tuple allocates the next
+  codec buffer id as an unmaterialized placeholder — the rich
+  :class:`MessageBuffer` (a dict plus a frozenset hash) is built only if
+  something actually asks for it (:meth:`PackedCodec.buffer_at`,
+  decoding).  The kernel keeps the index *complete* — every codec
+  buffer id has its inbox tuple, rich-path interning routes through
+  :meth:`intern_rich_buffer` — so an index miss proves novelty.  A
+  delivery that also sends probes (and, if novel, allocates) its
+  post-delivery intermediate before the post-send buffer, so id
   allocation is byte-for-byte the first-seen order of the successor
   relation (pinned by ``tests/core/test_census_fingerprints.py``).
-* **Per-buffer event rows.**  The enabled-event list of a buffer is a
-  tuple of kernel event ids derived from its rep through the codec's
+* **Event rows.**  The enabled-event list of a buffer is the null
+  events' ids followed by each inbox's cached block of message events,
+  derived through the codec's
   :meth:`~PackedCodec.kernel_null_events` /
   :meth:`~PackedCodec.kernel_message_events` hooks — the exact order of
   :meth:`~repro.core.protocol.Protocol.enabled_events`, including the
   faulted codec's dead-process exclusions and lossy-channel drop edges.
 
 Two entry points read the tables: :meth:`TransitionKernel.expand_row`
-(all edges of a row, the hot loop, kept inlined) and
-:meth:`TransitionKernel.step` (one event on one row).  Both fill misses
-through the same ``_fill_step``/``_fill_deliver``/``_fill_sends``, so
-state and buffer ids allocate in the order the successors are asked
-for, whoever asks.
+(all edges of a row, the hot loop) and :meth:`TransitionKernel.step`
+(one event on one row).  Both fill misses through the same
+``_fill_step``/``_fill_deliver``/``_fill_sends`` and allocate novel
+buffers through ``_alloc_buffer``, so state and buffer ids allocate in
+the order the successors are asked for, whoever asks.  The
+crew ships buffers between kernels as *wire reps*
+(:meth:`~TransitionKernel.wire_encoder`,
+:meth:`~TransitionKernel.resolve_wire_reps`); only this module knows
+their format.
 
 Everything here is ``array``/``dict``/``tuple`` — no third-party
 dependencies, per the core's rule.  The kernel is owned by one codec;
@@ -64,7 +77,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.core.errors import InvalidEvent, UnknownProcess
 from repro.core.messages import MessageBuffer
@@ -75,11 +88,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["TransitionKernel"]
 
-#: Composite-key stride for the deliver/sends tables: the key is
-#: ``buffer_id * _STRIDE + message_or_batch_id``.  2^20 distinct message
-#: values / send batches per protocol is far beyond any finite instance
-#: (benor/3 has 53 and 33); :meth:`_intern_message` guards the bound.
+#: Composite-key stride for the inbox deliver/sends tables: the key is
+#: ``inbox_id * _STRIDE + message_or_piece_id``.  2^20 distinct message
+#: values / send pieces per protocol is far beyond any finite instance
+#: (benor/3 has 53 messages); :meth:`_intern_message` guards the bound.
 _STRIDE = 1 << 20
+
+
+def _mapped(rep: tuple[int, ...], translate: Callable[[int], int]) -> tuple:
+    """*rep* with every message id passed through *translate*."""
+    out = list(rep)
+    out[0::2] = map(translate, rep[0::2])
+    return tuple(out)
 
 
 class TransitionKernel:
@@ -94,33 +114,48 @@ class TransitionKernel:
     def __init__(self, codec: "PackedCodec"):
         self.codec = codec
         codec.attach_kernel(self)
+        self._slots = len(codec.process_names)
         # Kernel event interning + per-event-id metadata columns.
         self._events: list["Event"] = []
         self._event_ids: dict["Event", int] = {}
         self._ev_pos = array("q")
         self._ev_mid = array("q")
-        # Message interning; the sort key mirrors distinct_messages().
+        # Message interning: the sort key mirrors distinct_messages(),
+        # the slot is the destination's tuple position.
         self._msgs: list = []
         self._msg_ids: dict = {}
         self._msg_keys: list[tuple[str, str]] = []
+        self._msg_slot: list[int] = []
         self._mid_eids: list[tuple[int, ...] | None] = []
-        # Send-batch interning; batch 0 is the empty batch.
+        # Send-batch interning (batch 0 is the empty batch); per batch,
+        # its ``(slot, piece_id)`` pieces in slot order.
         self._batches: list[tuple] = [()]
         self._batch_ids: dict = {(): 0}
-        self._batch_deltas: list[tuple] = [()]
+        self._batch_pieces: list[tuple] = [()]
+        self._pieces: list[tuple[int, ...]] = []
+        self._piece_ids: dict[tuple[int, ...], int] = {}
         # Step tables: per event id, state_id -> successor state id and
         # state_id -> send-batch id (-1 = unfilled).
         self._step_state: list[array | None] = []
         self._step_batch: list[array | None] = []
-        # Buffer transitions, composite-int keyed.
+        # Inboxes (inbox 0 is the empty one), their event blocks, and
+        # the composite-int keyed inbox transitions.
+        self._inbox_reps: list[tuple[int, ...]] = [()]
+        self._inbox_ids: dict[tuple[int, ...], int] = {(): 0}
+        self._inbox_eids: list[tuple[int, ...] | None] = [None]
         self._deliver: dict[int, int] = {}
         self._sends: dict[int, int] = {}
-        # Buffer reps and the rep -> buffer id dedup index.
-        self._reps: list[tuple[int, ...] | None] = []
-        self._rep_ids: dict[tuple[int, ...], int] = {}
-        # Per-buffer-id enabled-event rows (kernel event ids).
-        self._ev_rows: list[tuple[int, ...] | None] = []
+        # Per buffer id its inbox tuple, and the inbox tuple -> buffer
+        # id index.
+        self._buf_inboxes: list[tuple[int, ...] | None] = []
+        self._buf_index: dict[tuple[int, ...], int] = {}
         self._null_eids: tuple[int, ...] | None = None
+        # Running byte counts of what table_bytes cannot size cheaply.
+        self._object_bytes = sys.getsizeof(())
+        self._key_bytes = 0
+        self._entry_bytes = sys.getsizeof((1 << 29,) * self._slots) + (
+            sys.getsizeof(1 << 29)
+        )
         #: Rows expanded through the kernel.
         self.batch_expansions = 0
         #: Edges whose step component was a dense-table gather hit.
@@ -134,23 +169,26 @@ class TransitionKernel:
 
     @property
     def table_bytes(self) -> int:
-        """Resident bytes of the flat tables: the dense step columns
-        plus the (shallow) dict footprint of the buffer-transition and
-        rep indexes.  Rep tuples and interned rich objects are codec
-        memory, not counted here."""
+        """Resident bytes the kernel's buffer and step tables hold: the
+        dense step columns, the inbox reps, event blocks and transition
+        tables (composite keys included), and per buffer id its inbox
+        tuple, its int id and its index slot.  Interned rich objects
+        (events, messages, batches) are not counted."""
+        getsizeof = sys.getsizeof
         total = sum(
-            col.itemsize * len(col)
-            for col in self._step_state
+            getsizeof(col)
+            for columns in (self._step_state, self._step_batch)
+            for col in columns
             if col is not None
         )
-        total += sum(
-            col.itemsize * len(col)
-            for col in self._step_batch
-            if col is not None
-        )
-        total += sys.getsizeof(self._deliver)
-        total += sys.getsizeof(self._sends)
-        total += sys.getsizeof(self._rep_ids)
+        for table in (
+            self._deliver, self._sends, self._inbox_ids,
+            self._inbox_reps, self._inbox_eids,
+            self._buf_inboxes, self._buf_index,
+        ):
+            total += getsizeof(table)
+        total += self._object_bytes + self._key_bytes
+        total += len(self._buf_index) * self._entry_bytes
         return total
 
     # -- interning ---------------------------------------------------------
@@ -182,6 +220,10 @@ class TransitionKernel:
     def _intern_message(self, message) -> int:
         mid = self._msg_ids.get(message)
         if mid is None:
+            try:
+                slot = self.codec.position_of(message.destination)
+            except KeyError:
+                raise UnknownProcess(message.destination) from None
             mid = len(self._msgs)
             if mid >= _STRIDE:  # pragma: no cover - absurd instance
                 raise RuntimeError(
@@ -193,78 +235,116 @@ class TransitionKernel:
             self._msg_keys.append(
                 (message.destination, repr(message.value))
             )
+            self._msg_slot.append(slot)
             self._mid_eids.append(None)
         return mid
 
     def _intern_batch(self, sends: tuple) -> int:
         batch = len(self._batches)
-        if batch >= _STRIDE:  # pragma: no cover - absurd instance
-            raise RuntimeError(
-                f"kernel supports at most {_STRIDE} distinct send "
-                "batches per protocol"
-            )
         self._batch_ids[sends] = batch
         self._batches.append(sends)
-        self._batch_deltas.append(self._batch_delta(sends))
+        self._batch_pieces.append(self._split_batch(sends))
         return batch
 
-    def _batch_delta(self, sends: tuple) -> tuple:
-        """*sends* as ``((message_id, count), ...)`` in rep-key order."""
+    def _split_batch(self, sends: tuple) -> tuple:
+        """*sends* as ``((slot, piece_id), ...)`` in slot order, a piece
+        being one destination's flat ``(message_id, count, ...)`` share
+        in rep order."""
         agg: dict[int, int] = {}
         for message in sends:
             mid = self._intern_message(message)
             agg[mid] = agg.get(mid, 0) + 1
-        keys = self._msg_keys
-        return tuple(sorted(agg.items(), key=lambda kv: keys[kv[0]]))
+        per_slot = self._group(agg.items())
+        pieces = []
+        for slot, rep in enumerate(per_slot):
+            if rep:
+                piece = self._piece_ids.get(rep)
+                if piece is None:
+                    piece = len(self._pieces)
+                    if piece >= _STRIDE:  # pragma: no cover - absurd
+                        raise RuntimeError(
+                            f"kernel supports at most {_STRIDE} distinct "
+                            "send pieces per protocol"
+                        )
+                    self._piece_ids[rep] = piece
+                    self._pieces.append(rep)
+                pieces.append((slot, piece))
+        return tuple(pieces)
 
-    # -- buffer reps -------------------------------------------------------
+    def _group(
+        self, pairs: Iterable[tuple[int, int]]
+    ) -> list[tuple[int, ...]]:
+        """``(message_id, count)`` pairs as one flat rep per slot."""
+        per_slot: list[list] = [[] for _ in range(self._slots)]
+        slot_of = self._msg_slot
+        for pair in pairs:
+            per_slot[slot_of[pair[0]]].append(pair)
+        keys = self._msg_keys
+        reps = []
+        for group in per_slot:
+            group.sort(key=lambda kv: keys[kv[0]])
+            reps.append(tuple(v for pair in group for v in pair))
+        return reps
+
+    # -- inboxes and buffers -----------------------------------------------
+
+    def _intern_inbox(self, rep: tuple[int, ...]) -> int:
+        iid = self._inbox_ids.get(rep)
+        if iid is None:
+            iid = len(self._inbox_reps)
+            self._inbox_ids[rep] = iid
+            self._inbox_reps.append(rep)
+            self._inbox_eids.append(None)
+            self._object_bytes += sys.getsizeof(rep)
+        return iid
+
+    def _inboxes_of(self, pairs: Iterable[tuple[int, int]]) -> tuple:
+        """The inbox tuple of a multiset given as message-id pairs."""
+        return tuple(map(self._intern_inbox, self._group(pairs)))
+
+    def _rich_inboxes(self, buffer: MessageBuffer) -> tuple[int, ...]:
+        intern = self._intern_message
+        return self._inboxes_of(
+            (intern(message), count) for message, count in buffer.items()
+        )
 
     def reindex(self) -> None:
-        """(Re)build rep coverage for every buffer the codec holds.
+        """(Re)build inbox coverage for every buffer the codec holds.
 
         The lazy-allocation soundness invariant: *every* codec buffer id
-        has a registered rep, so a rep-index miss proves the multiset is
-        novel and the kernel may allocate the next id without consulting
-        the rich index.  Called at attach time and whenever the codec's
-        tables were replaced behind the kernel's back (a checkpoint
-        restored without kernel tables)."""
+        has its inbox tuple in the index, so an index miss proves the
+        multiset is novel and the kernel may allocate the next id
+        without consulting the rich index.  Called at attach time and
+        whenever the codec's tables were replaced behind the kernel's
+        back (a checkpoint restored without kernel tables)."""
+        inboxes = self._buf_inboxes
         for bid in range(self.codec.interned_buffers):
-            if bid >= len(self._reps) or self._reps[bid] is None:
-                self._build_rep(bid)
+            if bid >= len(inboxes) or inboxes[bid] is None:
+                self._register(
+                    bid, self._rich_inboxes(self.codec.buffer_at(bid))
+                )
 
-    def _build_rep(self, bid: int) -> tuple[int, ...]:
-        """Derive and register the rep of an already-rich buffer."""
-        intern = self._intern_message
-        pairs = [
-            (intern(message), count)
-            for message, count in self.codec.buffer_at(bid).items()
-        ]
-        keys = self._msg_keys
-        pairs.sort(key=lambda kv: keys[kv[0]])
-        rep = tuple(v for pair in pairs for v in pair)
-        self._register_rep(bid, rep)
-        return rep
+    def _register(self, bid: int, inboxes: tuple[int, ...]) -> None:
+        table = self._buf_inboxes
+        if bid >= len(table):
+            table.extend([None] * (bid + 1 - len(table)))
+        table[bid] = inboxes
+        self._buf_index[inboxes] = bid
 
-    def _register_rep(self, bid: int, rep: tuple[int, ...]) -> None:
-        reps = self._reps
-        if bid >= len(reps):
-            reps.extend([None] * (bid + 1 - len(reps)))
-        reps[bid] = rep
-        self._rep_ids[rep] = bid
-
-    def _alloc_rep(self, rep: tuple[int, ...]) -> int:
+    def _alloc_buffer(self, inboxes: tuple[int, ...]) -> int:
         """Allocate the next codec buffer id for a novel multiset.
 
         No rich buffer is built: the codec slot holds ``None`` until
         :meth:`materialize_buffer` is asked for it.  Sound because the
-        rep index is complete (:meth:`reindex`), so the caller's miss
+        index is complete (:meth:`reindex`), so the caller's miss
         already proved no engine has seen this multiset — the id the
         rich path would have allocated is exactly this one.
         """
         codec = self.codec
         bid = len(codec._buffers)
         codec._buffers.append(None)
-        self._register_rep(bid, rep)
+        self._buf_inboxes.append(inboxes)
+        self._buf_index[inboxes] = bid
         self.fallback_steps += 1
         return bid
 
@@ -272,20 +352,14 @@ class TransitionKernel:
         """Rich-side interning, routed here by the codec on a rich-index
         miss: the multiset may already own an id as a placeholder.  If
         so, *buffer* fills the slot; otherwise it allocates the next id
-        and registers its rep, keeping the index complete."""
-        intern = self._intern_message
-        pairs = [
-            (intern(message), count) for message, count in buffer.items()
-        ]
-        keys = self._msg_keys
-        pairs.sort(key=lambda kv: keys[kv[0]])
-        rep = tuple(v for pair in pairs for v in pair)
+        and registers its inboxes, keeping the index complete."""
+        inboxes = self._rich_inboxes(buffer)
         codec = self.codec
-        bid = self._rep_ids.get(rep)
+        bid = self._buf_index.get(inboxes)
         if bid is None:
             bid = len(codec._buffers)
             codec._buffers.append(buffer)
-            self._register_rep(bid, rep)
+            self._register(bid, inboxes)
         else:
             codec._buffers[bid] = buffer
         codec._buffer_ids[buffer] = bid
@@ -294,72 +368,132 @@ class TransitionKernel:
     def materialize_buffer(self, bid: int) -> MessageBuffer:
         """Build the rich buffer for a lazily-allocated id and install
         it in the codec's tables (the deferred half of
-        :meth:`_alloc_rep`; ids and reps are already fixed, so *when*
-        this runs cannot change any allocation)."""
-        rep = self._reps[bid]
+        :meth:`_alloc_buffer`; ids and inboxes are already fixed, so
+        *when* this runs cannot change any allocation)."""
         msgs = self._msgs
+        reps = self._inbox_reps
         counts = {}
-        for i in range(0, len(rep), 2):
-            counts[msgs[rep[i]]] = rep[i + 1]
+        for iid in self._buf_inboxes[bid]:
+            rep = reps[iid]
+            for i in range(0, len(rep), 2):
+                counts[msgs[rep[i]]] = rep[i + 1]
         buffer = MessageBuffer._trusted(counts)
         codec = self.codec
         codec._buffers[bid] = buffer
         codec._buffer_ids[buffer] = bid
         return buffer
 
-    def _merge_rep(self, rep: tuple[int, ...], delta: tuple) -> tuple:
-        """*rep* plus a send-batch *delta*, order preserved."""
-        keys = self._msg_keys
-        out = list(rep)
-        for mid, count in delta:
-            key = keys[mid]
-            for i in range(0, len(out), 2):
-                omid = out[i]
-                if omid == mid:
-                    out[i + 1] += count
-                    break
-                if keys[omid] > key:
-                    out[i:i] = (mid, count)
-                    break
-            else:
-                out.append(mid)
-                out.append(count)
-        return tuple(out)
+    # -- wire reps (the crew's buffer format) ------------------------------
 
-    # -- enabled-event rows ------------------------------------------------
+    def wire_encoder(
+        self, translate: Callable[[int], int] | None = None
+    ) -> Callable[[int], tuple]:
+        """A function from a buffer id to its *wire rep*, the form
+        another kernel resolves (:meth:`resolve_wire_reps`): one flat
+        ``(message_id, count, ...)`` tuple per destination slot, no
+        inbox ids, message ids passed through *translate* if given.
+        Translating keeps every inbox sorted: rep order is by message
+        content, not by id.  Each inbox is translated once per encoder,
+        so *translate* must not change while the encoder is in use."""
+        reps = self._inbox_reps
+        buf_inboxes = self._buf_inboxes
+        if translate is None:
+            return lambda bid: tuple(reps[iid] for iid in buf_inboxes[bid])
+        translated: dict[int, tuple] = {}
 
-    def _ev_row(self, bid: int) -> tuple[int, ...]:
-        """The kernel event ids enabled for buffer *bid*, cached — the
-        exact order of :meth:`Protocol.enabled_events`."""
-        rows = self._ev_rows
-        if bid >= len(rows):
-            rows.extend([None] * (bid + 1 - len(rows)))
-        row = rows[bid]
-        if row is None:
-            codec = self.codec
-            if self._null_eids is None:
-                self._null_eids = tuple(
-                    self.event_id(event)
-                    for event in codec.kernel_null_events()
+        def wire_rep(bid: int) -> tuple:
+            out = []
+            for iid in buf_inboxes[bid]:
+                rep = translated.get(iid)
+                if rep is None:
+                    rep = translated[iid] = _mapped(reps[iid], translate)
+                out.append(rep)
+            return tuple(out)
+
+        return wire_rep
+
+    def resolve_wire_reps(
+        self,
+        wires: Iterable[tuple],
+        translate: Callable[[int], int] | None = None,
+    ) -> Iterator[int]:
+        """Yield the buffer id of each wire rep (:meth:`wire_encoder`)
+        in *wires*, in
+        order (message ids passed through *translate* into this
+        kernel's), allocating the next id as a placeholder for a novel
+        multiset.  Lazy, so a caller can interleave the allocations with
+        its own; *translate* must not change while it runs."""
+        inbox_of: dict[tuple, int] = {}
+        known = inbox_of.get
+
+        def local_inbox(rep: tuple) -> int:
+            iid = known(rep)
+            if iid is None:
+                iid = inbox_of[rep] = self._intern_inbox(
+                    rep if translate is None else _mapped(rep, translate)
                 )
-            eids = list(self._null_eids)
-            rep = self._reps[bid]
-            mid_eids = self._mid_eids
-            for i in range(0, len(rep), 2):
-                mid = rep[i]
-                block = mid_eids[mid]
+            return iid
+
+        index_get = self._buf_index.get
+        for wire in wires:
+            inboxes = tuple(map(known, wire))
+            if None in inboxes:
+                inboxes = tuple(map(local_inbox, wire))
+            bid = index_get(inboxes)
+            yield self._alloc_buffer(inboxes) if bid is None else bid
+
+    def intermediate_buffer(self, bid: int, eid: int) -> int | None:
+        """The post-delivery, pre-send buffer id of event *eid* on
+        buffer *bid*, or ``None`` when the event consumes no message.
+        A lookup only: the step that delivered it allocated it."""
+        mid = self._ev_mid[eid]
+        if mid < 0:
+            return None
+        inboxes = self._buf_inboxes[bid]
+        pos = self._ev_pos[eid]
+        delivered = self._deliver[inboxes[pos] * _STRIDE + mid]
+        return self._buf_index[
+            inboxes[:pos] + (delivered,) + inboxes[pos + 1:]
+        ]
+
+    # -- enabled events ----------------------------------------------------
+
+    def _row_eids(self, inboxes: tuple[int, ...]) -> tuple[int, ...]:
+        """The kernel event ids enabled for a buffer with *inboxes* —
+        the exact order of :meth:`Protocol.enabled_events`."""
+        eids = self._null_eids
+        if eids is None:
+            eids = self._null_eids = tuple(
+                self.event_id(event)
+                for event in self.codec.kernel_null_events()
+            )
+        blocks = self._inbox_eids
+        for iid in inboxes:
+            if iid:
+                block = blocks[iid]
                 if block is None:
-                    block = tuple(
-                        self.event_id(event)
-                        for event in codec.kernel_message_events(
-                            self._msgs[mid]
-                        )
+                    block = self._inbox_block(iid)
+                eids += block
+        return eids
+
+    def _inbox_block(self, iid: int) -> tuple[int, ...]:
+        codec = self.codec
+        mid_eids = self._mid_eids
+        rep = self._inbox_reps[iid]
+        eids: list[int] = []
+        for mid in rep[0::2]:
+            block = mid_eids[mid]
+            if block is None:
+                block = mid_eids[mid] = tuple(
+                    self.event_id(event)
+                    for event in codec.kernel_message_events(
+                        self._msgs[mid]
                     )
-                    mid_eids[mid] = block
-                eids.extend(block)
-            row = tuple(eids)
-            rows[bid] = row
-        return row
+                )
+            eids.extend(block)
+        block = self._inbox_eids[iid] = tuple(eids)
+        self._object_bytes += sys.getsizeof(block)
+        return block
 
     # -- fills (the scalar oracle) -----------------------------------------
 
@@ -389,8 +523,8 @@ class TransitionKernel:
         self.fallback_steps += 1
         return new_sid, batch
 
-    def _fill_deliver(self, bid: int, mid: int, key: int) -> int:
-        rep = self._reps[bid]
+    def _fill_deliver(self, iid: int, mid: int, key: int) -> int:
+        rep = self._inbox_reps[iid]
         for i in range(0, len(rep), 2):
             if rep[i] == mid:
                 if rep[i + 1] > 1:
@@ -398,25 +532,42 @@ class TransitionKernel:
                 else:
                     new_rep = rep[:i] + rep[i + 2:]
                 break
-        else:  # only step() can ask: expand_row's rows derive from the rep
+        else:  # only step() can ask: expand_row's rows derive from inboxes
             raise InvalidEvent(
                 f"{self._msgs[mid]!r} is not in the message buffer"
             )
-        delivered = self._rep_ids.get(new_rep)
-        if delivered is None:
-            delivered = self._alloc_rep(new_rep)
-        self._deliver[key] = delivered
+        delivered = self._deliver[key] = self._intern_inbox(new_rep)
+        self._key_bytes += sys.getsizeof(key)
         return delivered
 
-    def _fill_sends(self, bid: int, batch: int, key: int) -> int:
-        new_rep = self._merge_rep(
-            self._reps[bid], self._batch_deltas[batch]
-        )
-        sent = self._rep_ids.get(new_rep)
-        if sent is None:
-            sent = self._alloc_rep(new_rep)
-        self._sends[key] = sent
+    def _fill_sends(self, iid: int, piece: int, key: int) -> int:
+        """Merge send piece *piece* into inbox *iid*, order preserved."""
+        keys = self._msg_keys
+        rep = self._inbox_reps[iid]
+        delta = self._pieces[piece]
+        out: list[int] = []
+        i, n = 0, len(rep)
+        for j in range(0, len(delta), 2):
+            mid = delta[j]
+            key_j = keys[mid]
+            while i < n and rep[i] != mid and keys[rep[i]] <= key_j:
+                out += rep[i:i + 2]
+                i += 2
+            if i < n and rep[i] == mid:
+                out += (mid, rep[i + 1] + delta[j + 1])
+                i += 2
+            else:
+                out += (mid, delta[j + 1])
+        out += rep[i:]
+        sent = self._sends[key] = self._intern_inbox(tuple(out))
+        self._key_bytes += sys.getsizeof(key)
         return sent
+
+    def _buffer_of(self, inboxes: list[int]) -> int:
+        """The buffer id of an inbox list, allocated if novel."""
+        inboxes = tuple(inboxes)
+        bid = self._buf_index.get(inboxes)
+        return self._alloc_buffer(inboxes) if bid is None else bid
 
     # -- expansion ---------------------------------------------------------
 
@@ -440,18 +591,26 @@ class TransitionKernel:
             self.table_hits += 1
         b = row[-1]
         mid = self._ev_mid[eid]
+        if mid >= 0 or batch:
+            after = list(self._buf_inboxes[b])
         if mid >= 0:
-            key = b * _STRIDE + mid
+            iid = after[pos]
+            key = iid * _STRIDE + mid
             delivered = self._deliver.get(key)
-            b = (
-                self._fill_deliver(b, mid, key)
-                if delivered is None
-                else delivered
+            after[pos] = (
+                self._fill_deliver(iid, mid, key)
+                if delivered is None else delivered
             )
+            b = self._buffer_of(after)
         if batch:
-            key = b * _STRIDE + batch
-            sent = self._sends.get(key)
-            b = self._fill_sends(b, batch, key) if sent is None else sent
+            for slot, piece in self._batch_pieces[batch]:
+                iid = after[slot]
+                key = iid * _STRIDE + piece
+                sent = self._sends.get(key)
+                after[slot] = (
+                    self._fill_sends(iid, piece, key) if sent is None else sent
+                )
+            b = self._buffer_of(after)
         successor = list(row)
         successor[pos] = new_sid
         successor[-1] = b
@@ -469,21 +628,22 @@ class TransitionKernel:
         the tuple construction and the index probe for what is, on
         quiescent frontiers, a large fraction of all edges."""
         bid = row[-1]
-        rows = self._ev_rows
-        eids = rows[bid] if bid < len(rows) else None
-        if eids is None:
-            eids = self._ev_row(bid)
+        inboxes = self._buf_inboxes[bid]
+        eids = self._row_eids(inboxes)
         self.batch_expansions += 1
         ev_pos = self._ev_pos
         ev_mid = self._ev_mid
         step_state = self._step_state
         step_batch = self._step_batch
+        batch_pieces = self._batch_pieces
         deliver_get = self._deliver.get
         sends_get = self._sends.get
+        index_get = self._buf_index.get
         base = list(row)
         out = []
         append = out.append
         hits = 0
+        # step()'s delivery and send code, inlined: the hot loop.
         for eid in eids:
             pos = ev_pos[eid]
             sid = row[pos]
@@ -497,28 +657,39 @@ class TransitionKernel:
                 batch = step_batch[eid][sid]
                 hits += 1
             mid = ev_mid[eid]
-            if mid < 0:
-                if not batch:
-                    if new_sid == sid:
-                        append((eid, None))
-                        continue
-                    b = bid
-                else:
-                    key = bid * _STRIDE + batch
-                    b = sends_get(key)
-                    if b is None:
-                        b = self._fill_sends(bid, batch, key)
-            else:
-                key = bid * _STRIDE + mid
-                b = deliver_get(key)
+            if mid >= 0:
+                after = list(inboxes)
+                iid = inboxes[pos]
+                key = iid * _STRIDE + mid
+                delivered = deliver_get(key)
+                after[pos] = (
+                    self._fill_deliver(iid, mid, key)
+                    if delivered is None else delivered
+                )
+                inboxes_b = tuple(after)
+                b = index_get(inboxes_b)
                 if b is None:
-                    b = self._fill_deliver(bid, mid, key)
-                if batch:
-                    key = b * _STRIDE + batch
+                    b = self._alloc_buffer(inboxes_b)
+            elif batch:
+                after = list(inboxes)
+            elif new_sid == sid:
+                append((eid, None))
+                continue
+            else:
+                b = bid
+            if batch:
+                for slot, piece in batch_pieces[batch]:
+                    iid = after[slot]
+                    key = iid * _STRIDE + piece
                     sent = sends_get(key)
-                    if sent is None:
-                        sent = self._fill_sends(b, batch, key)
-                    b = sent
+                    after[slot] = (
+                        self._fill_sends(iid, piece, key)
+                        if sent is None else sent
+                    )
+                inboxes_b = tuple(after)
+                b = index_get(inboxes_b)
+                if b is None:
+                    b = self._alloc_buffer(inboxes_b)
             successor = base.copy()
             successor[pos] = new_sid
             successor[-1] = b
@@ -530,17 +701,17 @@ class TransitionKernel:
 
     def snapshot_state(self) -> dict[str, object]:
         """Picklable snapshot: interning lists, the dense step columns
-        as raw bytes, the int-keyed transition tables, and the buffer
-        reps (a placeholder slot in the codec snapshot has *only* its
-        rep as identity, so reps are load-bearing, not a cache).
-        Per-buffer event rows rebuild lazily from the reps."""
+        as raw bytes, the inbox reps and their int-keyed transition
+        tables, and per buffer id its inbox tuple (a placeholder slot in
+        the codec snapshot has *only* its inboxes as identity, so they
+        are load-bearing, not a cache).  Event blocks rebuild lazily."""
         return {
-            "reps": list(self._reps),
             "events": list(self._events),
             "ev_pos": self._ev_pos.tobytes(),
             "ev_mid": self._ev_mid.tobytes(),
             "msgs": list(self._msgs),
             "batches": list(self._batches),
+            "pieces": list(self._pieces),
             "step_state": [
                 None if col is None else col.tobytes()
                 for col in self._step_state
@@ -549,8 +720,10 @@ class TransitionKernel:
                 None if col is None else col.tobytes()
                 for col in self._step_batch
             ],
-            "deliver": dict(self._deliver),
-            "sends": dict(self._sends),
+            "inbox_reps": list(self._inbox_reps),
+            "inbox_deliver": dict(self._deliver),
+            "inbox_sends": dict(self._sends),
+            "buffer_inboxes": list(self._buf_inboxes),
             "counters": (
                 self.batch_expansions,
                 self.table_hits,
@@ -561,49 +734,75 @@ class TransitionKernel:
     def restore_state(self, state: dict[str, object]) -> None:
         """Install a :meth:`snapshot_state` payload (codec restored
         first — message/event identity is content-based, so the rebuilt
-        id maps land on the same ids)."""
+        id maps land on the same ids).
+
+        Snapshots from before the inbox split carry one flat ``reps``
+        tuple per buffer id instead of inboxes, and buffer-keyed
+        ``deliver``/``sends`` tables; the reps are split by destination
+        here and the old tables dropped (the inbox tables refill on
+        demand)."""
         self._events = list(state["events"])
         self._event_ids = {e: i for i, e in enumerate(self._events)}
         self._ev_pos = array("q")
         self._ev_pos.frombytes(state["ev_pos"])
         self._ev_mid = array("q")
         self._ev_mid.frombytes(state["ev_mid"])
-        self._msgs = list(state["msgs"])
-        self._msg_ids = {m: i for i, m in enumerate(self._msgs)}
-        self._msg_keys = [
-            (m.destination, repr(m.value)) for m in self._msgs
-        ]
-        self._mid_eids = [None] * len(self._msgs)
+        self._msgs = []
+        self._msg_ids = {}
+        self._msg_keys = []
+        self._msg_slot = []
+        self._mid_eids = []
+        for message in state["msgs"]:
+            self._intern_message(message)
+        self._pieces = list(state.get("pieces", ()))
+        self._piece_ids = {p: i for i, p in enumerate(self._pieces)}
         self._batches = list(state["batches"])
         self._batch_ids = {b: i for i, b in enumerate(self._batches)}
-        self._batch_deltas = [
-            self._batch_delta(batch) for batch in self._batches
+        self._batch_pieces = [
+            self._split_batch(batch) for batch in self._batches
         ]
         self._step_state = []
-        for blob in state["step_state"]:
-            if blob is None:
-                self._step_state.append(None)
-            else:
-                col = array("q")
-                col.frombytes(blob)
-                self._step_state.append(col)
         self._step_batch = []
-        for blob in state["step_batch"]:
-            if blob is None:
-                self._step_batch.append(None)
-            else:
-                col = array("q")
-                col.frombytes(blob)
-                self._step_batch.append(col)
-        self._deliver = dict(state["deliver"])
-        self._sends = dict(state["sends"])
-        self._reps = list(state["reps"])
-        self._rep_ids = {
-            rep: bid
-            for bid, rep in enumerate(self._reps)
-            if rep is not None
-        }
-        self._ev_rows = []
+        for blobs, columns in (
+            (state["step_state"], self._step_state),
+            (state["step_batch"], self._step_batch),
+        ):
+            for blob in blobs:
+                if blob is None:
+                    columns.append(None)
+                else:
+                    col = array("q")
+                    col.frombytes(blob)
+                    columns.append(col)
+        self._inbox_reps = [()]
+        self._inbox_ids = {(): 0}
+        self._inbox_eids = [None]
+        self._object_bytes = sys.getsizeof(())
+        self._key_bytes = 0
+        self._buf_inboxes = []
+        self._buf_index = {}
+        if "inbox_reps" in state:
+            for rep in state["inbox_reps"]:
+                self._intern_inbox(rep)
+            self._deliver = dict(state["inbox_deliver"])
+            self._sends = dict(state["inbox_sends"])
+            getsizeof = sys.getsizeof
+            self._key_bytes = sum(
+                getsizeof(key)
+                for table in (self._deliver, self._sends)
+                for key in table
+            )
+            for bid, inboxes in enumerate(state["buffer_inboxes"]):
+                if inboxes is not None:
+                    self._register(bid, inboxes)
+        else:
+            self._deliver = {}
+            self._sends = {}
+            for bid, rep in enumerate(state["reps"]):
+                if rep is not None:
+                    self._register(
+                        bid, self._inboxes_of(zip(rep[0::2], rep[1::2]))
+                    )
         self._null_eids = None
         counters = state["counters"]
         self.batch_expansions = int(counters[0])
@@ -613,4 +812,3 @@ class TransitionKernel:
         # already be complete; reindex is a cheap no-op then, and
         # restores the invariant if the codec grew in between.
         self.reindex()
-

@@ -65,8 +65,8 @@ class PackedCodec:
         self._state_output: list[int | None] = []
         # Buffer interning.  With a transition kernel attached,
         # ``_buffers`` slots may hold ``None``: the kernel allocated the
-        # id from a flat rep and the rich buffer materializes on first
-        # ``buffer_at``.
+        # id from its per-destination inboxes and the rich buffer
+        # materializes on first ``buffer_at``.
         self._buffers: list[MessageBuffer | None] = []
         self._buffer_ids: dict[MessageBuffer, int] = {}
         self._kernel = None
@@ -104,7 +104,7 @@ class PackedCodec:
         """The dense id of *buffer*, allocating one if new.
 
         With a kernel attached, a rich-side miss routes through the
-        kernel's rep index: the multiset may already own an id as an
+        kernel's buffer index: the multiset may already own an id as an
         unmaterialized placeholder, and allocating a second id would
         break the first-seen-order contract every fingerprint rests on.
         """
@@ -250,7 +250,7 @@ class PackedCodec:
         continue the same first-seen-order allocation for resumed
         explorations to stay byte-identical with uninterrupted ones.
         Buffer slots a kernel allocated lazily snapshot as ``None``;
-        the kernel's own snapshot carries their reps.
+        the kernel's own snapshot carries their inboxes.
         """
         return {
             "states": list(self._states),

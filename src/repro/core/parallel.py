@@ -13,16 +13,17 @@ stays centralized.  The contract here:
   stealing, no per-level ``Pool.map`` barrier).
 * Workers mirror the parent's tables in the kernel's own format, synced
   once per level (:func:`_table_delta`): new states, kernel messages
-  and kernel events rich (there are few), new buffers as flat
-  message-multiset *reps* in parent message ids, installed as
-  placeholders in the worker's
+  and kernel events rich (there are few), new buffers as the kernel's
+  *wire reps* (:meth:`~repro.core.kernel.TransitionKernel.wire_encoder`)
+  in parent message ids, installed as placeholders in the worker's
   :class:`~repro.core.kernel.TransitionKernel`.  No rich
-  :class:`~repro.core.messages.MessageBuffer` crosses the wire.
+  :class:`~repro.core.messages.MessageBuffer` crosses the wire, and
+  only the kernel knows the wire rep's format.
 * Per chunk a worker returns flat ``(event, state, final buffer)`` id
   triples in parent ids.  What the parent had not interned at the sync
   is a reference ``~k`` into a per-chunk side table (states, events
-  and unseen messages rich, buffers as reps in parent message ids),
-  listed in first-seen order with each post-delivery intermediate
+  and unseen messages rich, buffers as wire reps in parent message
+  ids), listed in first-seen order with each post-delivery intermediate
   before the buffer its send batch produces — the order
   :meth:`TransitionKernel.expand_row` allocates ids in.
   :func:`decode_chunk` resolves a row's entries just before that row is
@@ -53,7 +54,7 @@ from itertools import islice
 from typing import Iterator
 
 from repro.core.errors import FLPError
-from repro.core.kernel import _STRIDE, TransitionKernel
+from repro.core.kernel import TransitionKernel
 from repro.core.protocol import Protocol
 from repro.core.resilience import ChaosConfig
 
@@ -105,12 +106,16 @@ def _table_delta(kernel: TransitionKernel, marks: tuple) -> tuple:
     interned since *marks* (one count per kind), and the new marks.
 
     States, kernel messages and kernel events go rich, buffers as their
-    reps in the parent's message ids.  No buffer materializes: the rep
-    index is complete, so every buffer id has a rep.
+    wire reps in the parent's message ids.  No buffer materializes: the
+    kernel's buffer index is complete, so every buffer id has a wire
+    rep.
     """
-    tables = (kernel.codec._states, kernel._msgs, kernel._events, kernel._reps)
+    tables = (kernel.codec._states, kernel._msgs, kernel._events)
     delta = tuple(table[mark:] for table, mark in zip(tables, marks))
-    return delta, tuple(map(len, tables))
+    buffers = kernel.codec.interned_buffers
+    wire_rep = kernel.wire_encoder()
+    delta += ([wire_rep(bid) for bid in range(marks[_BUFFER], buffers)],)
+    return delta, (*map(len, tables), buffers)
 
 
 class _Mirror:
@@ -130,10 +135,8 @@ class _Mirror:
 
     def apply(self, marks: tuple, delta: tuple) -> None:
         """Install one :func:`_table_delta` (the parent's tables from
-        *marks* on).  A buffer rep registers as a kernel placeholder
-        unless the worker already holds that multiset; rep order is by
-        message content, so translating message ids keeps a rep
-        sorted."""
+        *marks* on).  A buffer's wire rep registers as a kernel
+        placeholder unless the worker already holds that multiset."""
         if marks != tuple(map(len, self.p2l)):
             raise RuntimeError(
                 "codec table sync out of order; parent will rebuild "
@@ -141,23 +144,13 @@ class _Mirror:
             )
         states, messages, events, reps = delta
         kernel = self.kernel
-        p2l_msg = self.p2l[_MSG]
-
-        def local_rep_id(rep: tuple[int, ...]) -> int:
-            rep = list(rep)
-            for i in range(0, len(rep), 2):
-                rep[i] = p2l_msg[rep[i]]
-            rep = tuple(rep)
-            local = kernel._rep_ids.get(rep)
-            return kernel._alloc_rep(rep) if local is None else local
-
         # Lazy maps, consumed in order: messages link before any rep
         # is translated.
         for p2l, l2p, local_ids in zip(self.p2l, self.l2p, (
             map(self.codec.intern_state, states),
             map(kernel._intern_message, messages),
             map(kernel.event_id, events),
-            map(local_rep_id, reps),
+            kernel.resolve_wire_reps(reps, self.p2l[_MSG].__getitem__),
         )):
             for local in local_ids:
                 if local >= len(l2p):
@@ -175,14 +168,14 @@ class _Mirror:
         the side-state and side-rep table lengths after it, the flat
         ``(event, state, final buffer)`` triples in parent ids or ``~k``
         side references, the side tables (states, messages and events
-        rich, buffer reps in parent message ids), and the
+        rich, buffer wire reps in parent message ids), and the
         :class:`FLPError` that stopped the chunk (rows before it are
         complete), or ``None``.
         """
         kernel = self.kernel
         expand_row = kernel.expand_row
-        ev_pos, ev_mid, deliver = kernel._ev_pos, kernel._ev_mid, kernel._deliver
-        reps, msgs = kernel._reps, kernel._msgs
+        ev_pos, msgs = kernel._ev_pos, kernel._msgs
+        intermediate_buffer = kernel.intermediate_buffer
         state_at, event_at = self.codec.state_at, kernel.event_at
         p2l_state, _, _, p2l_buffer = self.p2l
         l2p_state, l2p_msg, l2p_event, l2p_buffer = self.l2p
@@ -201,16 +194,11 @@ class _Mirror:
                 side[kind].append(rich(local))
             return found
 
-        def parent_rep(local: int) -> tuple[int, ...]:
-            rep = list(reps[local])
-            for i in range(0, len(rep), 2):
-                mid = rep[i]
-                parent = l2p_msg[mid] if mid < n_msg else -1
-                rep[i] = (
-                    parent if parent >= 0
-                    else ref(_MSG, mid, msgs.__getitem__)
-                )
-            return tuple(rep)
+        def parent_mid(mid: int) -> int:
+            parent = l2p_msg[mid] if mid < n_msg else -1
+            return parent if parent >= 0 else ref(_MSG, mid, msgs.__getitem__)
+
+        parent_rep = kernel.wire_encoder(parent_mid)
 
         error = None
         n_len = width - 1
@@ -235,16 +223,14 @@ class _Mirror:
                     if state < 0:
                         state = ref(_STATE, sid, state_at)
                     b = successor[n_len]
-                    mid = ev_mid[eid]
-                    if mid >= 0:
-                        # A novel post-delivery intermediate enters the
-                        # side table before the post-send buffer.
-                        delivered = deliver[bid * _STRIDE + mid]
-                        if delivered != b and (
-                            delivered >= n_buffer
-                            or l2p_buffer[delivered] < 0
-                        ):
-                            ref(_BUFFER, delivered, parent_rep)
+                    # A novel post-delivery intermediate enters the side
+                    # table before the post-send buffer.
+                    delivered = intermediate_buffer(bid, eid)
+                    if delivered is not None and delivered != b and (
+                        delivered >= n_buffer
+                        or l2p_buffer[delivered] < 0
+                    ):
+                        ref(_BUFFER, delivered, parent_rep)
                     final = l2p_buffer[b] if b < n_buffer else -1
                     if final < 0:
                         final = ref(_BUFFER, b, parent_rep)
@@ -264,14 +250,15 @@ def decode_chunk(
     edge lists (``(kernel_event_id, successor)``, ``None`` for a
     self-loop) from one chunk payload of :meth:`_Mirror.expand_chunk`.
 
-    Before a row's edges are yielded, the side states and reps that row
-    introduced resolve in the worker's first-seen order: a state through
-    the codec's interning, a rep through the rep index, a novel rep
-    allocating the next buffer id as a placeholder.  That is the order,
-    and the allocation, of the parent's own ``expand_row`` on that row,
-    and it happens after the merge of the rows before it (whose
-    reduction layers may intern too), exactly as in serial mode.  Side
-    events and messages resolve up front: their kernel ids are not
+    Before a row's edges are yielded, the side states and buffers that
+    row introduced resolve in the worker's first-seen order: a state
+    through the codec's interning, a buffer's wire rep through
+    :meth:`~repro.core.kernel.TransitionKernel.resolve_wire_reps`, a
+    novel one allocating the next buffer id as a placeholder.  That is
+    the order, and the allocation, of the parent's own ``expand_row`` on
+    that row, and it happens after the merge of the rows before it
+    (whose reduction layers may intern too), exactly as in serial mode.
+    Side events and messages resolve up front: their kernel ids are not
     observable.  A worker's model error re-raises after the rows that
     completed.
     """
@@ -280,8 +267,10 @@ def decode_chunk(
     mids = list(map(kernel._intern_message, messages))
     events = list(map(kernel.event_id, events))
     intern_state = kernel.codec.intern_state
-    rep_ids = kernel._rep_ids
-    alloc_rep = kernel._alloc_rep
+    resolved = kernel.resolve_wire_reps(
+        side_reps,
+        (lambda mid: mids[~mid] if mid < 0 else mid) if mids else None,
+    )
     states: list[int] = []
     buffers: list[int] = []
     ev_pos = kernel._ev_pos
@@ -290,15 +279,7 @@ def decode_chunk(
     for row, j in zip(rows, range(0, len(marks), 3)):
         count, n_states, n_reps = marks[j:j + 3]
         states.extend(map(intern_state, side_states[len(states):n_states]))
-        for rep in side_reps[len(buffers):n_reps]:
-            if mids:
-                rep = list(rep)
-                for i in range(0, len(rep), 2):
-                    if rep[i] < 0:
-                        rep[i] = mids[~rep[i]]
-                rep = tuple(rep)
-            bid = rep_ids.get(rep)
-            buffers.append(alloc_rep(rep) if bid is None else bid)
+        buffers.extend(islice(resolved, n_reps - len(buffers)))
         bid = row[-1]
         base = list(row)
         edges = []

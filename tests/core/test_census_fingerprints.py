@@ -14,6 +14,10 @@ to disk about halfway, reloaded with ``load_checkpoint`` and finished.
 The halfway stop uses the depth horizon, so the saved graph ends on a
 BFS-level boundary and the finished run is byte-identical to an
 uninterrupted one.
+
+Each instance also pins its ``semantic_fingerprint()``: the same graph
+hashed without any interned state, buffer or event id, so a change to
+the packed encoding itself can be checked against it.
 """
 
 import pytest
@@ -90,6 +94,32 @@ CENSUS = {
 }
 
 
+#: name -> :meth:`GlobalConfigurationGraph.semantic_fingerprint` of the
+#: same run: the graph with no state, buffer or event id inside, so it
+#: must hold across a change to the packed row's encoding that moves
+#: the packed fingerprints above.
+SEMANTIC = {
+    "arbiter3":
+        "ac5a246ff94504d03ca21061d3ab1ff8eb3692735b0f08029373d31fc0fd2cf0",
+    "parity-arbiter3":
+        "d0fc6e5db7f1a19c908422954306e8dacfd555f7a520f2694d7752280b5f843f",
+    "wait-for-all3@800":
+        "3cf95bbf357ca40eabdb169f28b22967e904141a25e9afe76c2530c5276f31a0",
+    "2pc3@800":
+        "a55aed4f73544b2560a4f934b455eb0bcd8268fb39980ab6255f0fd8e7fed519",
+    "benor3@800":
+        "ff1e8c5438342eaf973d96983c2c0937e932874ea665befaf66cc671e12d2411",
+    "faulted-benor3@2000":
+        "fb7b9b8f555b23ebed857bef47537dc474ac6ef0b4fe27b9bdf80988b38789ef",
+    "benor3-round-por@2000":
+        "aad9437b59d9aa3574465ab08249dfb57cac294242408a2079be6704dba66b35",
+    "benor3-round-symmetry@2000":
+        "b55963c3eb44bda0435f711df955b63fd9e3488d530a7944c6e332a302521b3b",
+    "benor3-round-por+symmetry@2000":
+        "69ccc1b298620fd5683b0bfdac88b694dde50a306d0817b821ff8307f95aa84b",
+}
+
+
 def census_fingerprint(name: str) -> str:
     """The pinned fingerprint of instance *name* (for other suites)."""
     return CENSUS[name][3]
@@ -116,6 +146,20 @@ def _explored(name, **engine):
 def test_serial_run_matches_pinned_fingerprint(name):
     fingerprint, _size, _stats = _explored(name)
     assert fingerprint == census_fingerprint(name)
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_serial_run_matches_pinned_semantic_fingerprint(name):
+    factory, budget, policy, expected = CENSUS[name]
+    protocol = factory()
+    graph = GlobalConfigurationGraph(protocol, reduction=policy)
+    try:
+        root = protocol.initial_configuration(INPUTS)
+        graph.explore(root, **_budget(budget))
+        assert graph.fingerprint() == expected
+        assert graph.semantic_fingerprint() == SEMANTIC[name]
+    finally:
+        graph.close()
 
 
 @pytest.mark.parametrize("name", sorted(CENSUS))

@@ -90,9 +90,41 @@ def save_with_codec_memos(graph, path):
     _rewrite(path, header, state)
 
 
+def save_with_flat_reps(graph, path):
+    """Save *graph* the way kernels that kept one flat rep per buffer
+    wrote snapshots: ``reps`` (per buffer id its ``(message_id, count,
+    ...)`` tuple in ``(destination, repr(value))`` order) and
+    buffer-keyed ``deliver``/``sends`` tables (``buffer_id * 2**20 +
+    message_or_batch_id``), in place of inboxes and inbox tables."""
+    save_checkpoint(graph, path)
+    header, state = _read_raw(path)
+    kernel = state["kernel"]
+    inbox_reps = kernel.pop("inbox_reps")
+    reps = [
+        tuple(v for iid in inboxes for v in inbox_reps[iid])
+        for inboxes in kernel.pop("buffer_inboxes")
+    ]
+    rep_ids = {rep: bid for bid, rep in enumerate(reps)}
+    deliver = {}
+    for bid, rep in enumerate(reps):
+        for i in range(0, len(rep), 2):
+            if rep[i + 1] > 1:
+                after = rep[:i + 1] + (rep[i + 1] - 1,) + rep[i + 2:]
+            else:
+                after = rep[:i] + rep[i + 2:]
+            if after in rep_ids:
+                deliver[bid * 2**20 + rep[i]] = rep_ids[after]
+    for key in ("pieces", "inbox_deliver", "inbox_sends"):
+        del kernel[key]
+    kernel.update(reps=reps, deliver=deliver, sends={})
+    _rewrite(path, header, state)
+
+
 def _save(graph, path, kernel_tables):
     if kernel_tables == "memos":
         save_with_codec_memos(graph, path)
+    elif kernel_tables == "flat-reps":
+        save_with_flat_reps(graph, path)
     elif kernel_tables:
         save_checkpoint(graph, path)
     else:
@@ -100,12 +132,16 @@ def _save(graph, path, kernel_tables):
 
 
 #: Snapshots as this engine writes them, as engines that never ran the
-#: kernel wrote them (no kernel tables in the payload), and as engines
-#: whose codec also memoized transitions wrote them.
+#: kernel wrote them (no kernel tables in the payload), as engines
+#: whose codec also memoized transitions wrote them, and as kernels
+#: with one flat rep per buffer (no inboxes) wrote them.
 SNAPSHOT_KINDS = pytest.mark.parametrize(
     "kernel_tables",
-    [True, False, "memos"],
-    ids=["packed", "packed-no-kernel", "packed-codec-memos"],
+    [True, False, "memos", "flat-reps"],
+    ids=[
+        "packed", "packed-no-kernel", "packed-codec-memos",
+        "packed-flat-reps",
+    ],
 )
 
 

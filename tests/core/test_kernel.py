@@ -17,8 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
+from repro.core.errors import InvalidEvent
+from repro.core.events import Event
 from repro.core.exploration import GlobalConfigurationGraph
+from repro.core.kernel import TransitionKernel
 from repro.core.reduction import ReductionPolicy
+from repro.faults.model import FaultedPackedCodec
 from repro.protocols import (
     ArbiterProcess,
     BenOrProcess,
@@ -30,6 +34,7 @@ from repro.protocols import (
 from tests.core.test_census_fingerprints import (
     CENSUS,
     INPUTS,
+    _faulted_benor,
     census_fingerprint,
 )
 from tests.core.test_checkpoint import save_without_kernel_tables
@@ -131,6 +136,126 @@ class TestScalarParity:
         assert_same_graph(
             graph, protocol, protocol.initial_configuration(INPUTS)
         )
+
+
+#: Protocols for the inbox walks: plain Ben-Or/3, and Ben-Or/3 with a
+#: crashed process and a lossy destination (drop events, dead
+#: exclusions).
+_WALKS = {
+    "benor3": lambda: make_protocol(BenOrProcess, 3),
+    "faulted-benor3": _faulted_benor,
+}
+
+
+def _pick(protocol, configuration, choice):
+    """An enabled event of *configuration* chosen by *choice*: an odd
+    choice picks among all events, an even one among the message
+    deliveries (and drops) only, so walks pile up duplicate copies
+    rather than idling on null steps."""
+    events = protocol.enabled_events(configuration)
+    if choice % 2 == 0:
+        events = [e for e in events if not e.is_null_delivery] or events
+    return events[(choice // 2) % len(events)]
+
+
+class TestInboxBuffers:
+    """The kernel keeps a buffer as per-destination inboxes; the id it
+    composes from them must be the id the codec gives the rich
+    buffer."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_WALKS)),
+        inputs=st.tuples(*[st.integers(0, 1)] * 3),
+        seed=st.integers(min_value=0, max_value=10**6),
+        length=st.integers(min_value=1, max_value=80),
+        rich_every=st.integers(1, 5),
+    )
+    def test_inbox_composed_id_is_the_rich_buffer_id(
+        self, name, inputs, seed, length, rich_every
+    ):
+        """A random walk of deliveries, drops and send batches through
+        ``step`` (duplicate copies included): every successor's buffer
+        id equals ``intern_buffer`` of the buffer ``apply_event``
+        computes.  Every *rich_every*-th step the rich buffer is
+        interned first, so rich-side and inbox-side allocation
+        interleave."""
+        protocol = _WALKS[name]()
+        codec = protocol.packed_codec()
+        kernel = TransitionKernel(codec)
+        if name.startswith("faulted"):
+            assert isinstance(codec, FaultedPackedCodec)
+        rng = random.Random(seed)
+        configuration = protocol.initial_configuration(inputs)
+        row = codec.encode(configuration)
+        for i in range(length):
+            event = _pick(protocol, configuration, rng.getrandbits(16))
+            configuration = protocol.apply_event(configuration, event)
+            if i % rich_every == 0:
+                expected = codec.intern_buffer(configuration.buffer)
+                row = kernel.step(row, kernel.event_id(event))
+            else:
+                row = kernel.step(row, kernel.event_id(event))
+                expected = codec.intern_buffer(configuration.buffer)
+            assert row[-1] == expected
+            assert codec.decode(row) == configuration
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        inputs=st.tuples(*[st.integers(0, 1)] * 3),
+        seed=st.integers(min_value=0, max_value=10**6),
+        length=st.integers(min_value=1, max_value=40),
+    )
+    def test_step_rejects_unbuffered_message(self, inputs, seed, length):
+        """``step`` raises :class:`InvalidEvent` for a delivery of a
+        message the buffer does not hold, and allocates no buffer."""
+        protocol = make_protocol(BenOrProcess, 3)
+        codec = protocol.packed_codec()
+        kernel = TransitionKernel(codec)
+        configuration = protocol.initial_configuration(inputs)
+        row = codec.encode(configuration)
+        rng = random.Random(seed)
+        seen = []
+        for _ in range(length):
+            event = _pick(protocol, configuration, rng.getrandbits(16))
+            configuration = protocol.apply_event(configuration, event)
+            row = kernel.step(row, kernel.event_id(event))
+            seen.extend(configuration.buffer.distinct_messages())
+        absent = [m for m in seen if m not in configuration.buffer]
+        if not absent:
+            return
+        message = rng.choice(absent)
+        eid = kernel.event_id(Event(message.destination, message.value))
+        buffers = codec.interned_buffers
+        with pytest.raises(InvalidEvent):
+            kernel.step(row, eid)
+        assert codec.interned_buffers == buffers
+
+    @pytest.mark.parametrize(
+        "factory, budget",
+        [
+            (lambda: make_protocol(BenOrProcess, 3), 5000),
+            (_faulted_benor, 2000),
+            (lambda: make_protocol(ParityArbiterProcess, 4), 5000),
+        ],
+        ids=["benor3@5k", "faulted-benor3@2000", "parity-arbiter4@5k"],
+    )
+    def test_row_events_are_enabled_events(self, factory, budget):
+        """Every stored row's kernel event list, composed from its
+        inboxes' event blocks, is ``Protocol.enabled_events`` of the
+        decoded configuration, in order."""
+        protocol = factory()
+        n = len(protocol.process_names)
+        root = protocol.initial_configuration((0,) * (n - 1) + (1,))
+        _, _, graph = _explore(protocol, root, budget=budget)
+        kernel = graph.kernel
+        codec = graph.codec
+        for node in range(len(graph)):
+            row = graph.packed_at(node)
+            events = tuple(
+                kernel.event_at(eid) for eid, _ in kernel.expand_row(row)
+            )
+            assert events == protocol.enabled_events(codec.decode(row))
 
 
 class TestReducerParity:
@@ -241,6 +366,32 @@ class TestCheckpointResume:
 
 
 class TestObservability:
+    def test_table_bytes_counts_what_the_kernel_holds(self):
+        """``table_bytes`` (``kernel_table_bytes`` in the stats) counts
+        the kernel's tables deeply: step columns, inbox reps and
+        tables, per-buffer inbox tuples and the index.  It must come
+        close to what tracemalloc sees ``kernel.py`` allocate, which
+        also holds the interned events and messages it leaves out."""
+        import tracemalloc
+
+        protocol = make_protocol(BenOrProcess, 3)
+        tracemalloc.start()
+        try:
+            graph = GlobalConfigurationGraph(protocol)
+            graph.explore(
+                protocol.initial_configuration(INPUTS),
+                max_configurations=5000,
+            )
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        traced = sum(
+            stat.size
+            for stat in snapshot.statistics("filename")
+            if stat.traceback[0].filename.endswith("core/kernel.py")
+        )
+        assert 0.75 * traced <= graph.kernel.table_bytes <= 1.1 * traced
+
     def test_kernel_counters_move(self, arbiter3):
         root = arbiter3.initial_configuration([0, 0, 1])
         graph = GlobalConfigurationGraph(arbiter3)
