@@ -15,8 +15,9 @@ Commands
     Valency map of the reachable graph; optional DOT export.
 ``chaos <protocol>``
     Fault-injection suite: kill/hang pool workers, force batch
-    timeouts, interrupt and resume — each must recover with a graph
-    byte-identical to a clean run.
+    timeouts, interrupt and resume, SIGKILL a ``serve`` daemon or a
+    ``spectrum`` sweep mid-run and rerun it — each must recover with
+    the answer of an uninterrupted run.
 ``experiments [ids...]``
     Alias for ``python -m repro.experiments``.
 ``serve``
@@ -405,8 +406,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    entry = registry.info(args.protocol)
-    protocol = entry.build(args.n)
+    protocol = registry.build(args.protocol, args.n)
     scenarios = (
         tuple(args.scenarios) if args.scenarios else CHAOS_SCENARIOS
     )
@@ -415,11 +415,11 @@ def _cmd_chaos(args) -> int:
         f"budget={args.max_configurations}"
     )
     outcomes = run_chaos_suite(
-        protocol,
+        args.protocol,
+        n=args.n,
         workers=args.workers,
         scenarios=scenarios,
         max_configurations=args.max_configurations,
-        protocol_name=args.protocol,
     )
     print(format_table([outcome.as_row() for outcome in outcomes]))
     failed = [outcome for outcome in outcomes if not outcome.ok]
@@ -869,7 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = commands.add_parser(
         "chaos",
         help="fault-injection suite: kill/hang workers, force timeouts, "
-        "interrupt + resume; recovery must be byte-identical",
+        "interrupt + resume, SIGKILL a serve daemon or a spectrum sweep "
+        "and rerun it; every recovery must match an uninterrupted run",
     )
     chaos.add_argument("protocol", choices=registry.names())
     chaos.add_argument("-n", type=int, default=None)
@@ -886,7 +887,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8_000,
         metavar="K",
-        help="exploration budget per scenario run (default 8000)",
+        help="exploration budget per scenario run, and the daemon "
+        "job's in server-kill (default 8000; sweep-kill ignores it)",
     )
     chaos.add_argument(
         "--scenarios",

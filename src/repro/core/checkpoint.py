@@ -20,27 +20,29 @@ skipped node A yet expanded a later, smaller node B at the same level,
 interning B's successors before A's — an id-allocation order no
 single-shot run reproduces.
 
-File format (version 2)::
+File format (version 3)::
 
     <one-line JSON header>\n<pickle payload>
 
-Version 2 stores the engine's node/edge tables as the flat-buffer
-store's raw byte snapshots (arena bytes, CSR offset/count/pair bytes,
-event table) instead of per-node Python tuples — the payload for a
-million-node graph is a few contiguous ``bytes`` blobs rather than a
-million tuple pickles.  The visited-set hash index is *not* stored; it
-is a pure function of the arena and is rebuilt on restore.  Version-1
-snapshots are refused with :class:`~repro.core.errors.CheckpointMismatch`
-(re-explore to regenerate — exploration is deterministic, so the rebuilt
-graph is byte-identical).
+The payload is exactly what :func:`save_checkpoint` writes, and
+restore reads that one shape and no other: the engine's node/edge
+tables as the flat-buffer store's raw byte snapshots (arena bytes, CSR
+offset/count/pair bytes, event table), the codec's interning lists, the
+kernel's tables, the reducer's sample position under ``--por``, and the
+stats.  The visited-set hash index is *not* stored; it is a pure
+function of the arena and is rebuilt on restore.  Files of any other
+version are refused with :class:`~repro.core.errors.CheckpointMismatch`
+naming both versions (re-explore to regenerate them — exploration is
+deterministic, so the rebuilt graph is byte-identical).
 
 The header carries a magic string, the format version, the engine mode
 (always ``"packed"``; snapshots of the retired dict-keyed engine are
 refused with :class:`~repro.core.errors.CheckpointMismatch`), protocol
-identity (repr + process names/types), node/edge counts, and a
-SHA-256 of the payload.  Loading verifies the checksum before unpickling
-and the protocol identity before installing, raising
-:class:`~repro.core.errors.CheckpointCorrupt` /
+identity (repr + process names/types), the reduction stamp, node/edge
+counts, and a SHA-256 of the payload.  Loading verifies that the
+header has exactly these fields and the checksum before unpickling,
+and the protocol identity and reduction stamp before installing,
+raising :class:`~repro.core.errors.CheckpointCorrupt` /
 :class:`~repro.core.errors.CheckpointMismatch` instead of silently
 resuming from the wrong or a damaged snapshot.  Writes go to a sibling
 temp file and ``os.replace`` onto the target, so a crash mid-write never
@@ -78,7 +80,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = "flpkit-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,13 @@ def _protocol_identity(protocol: "Protocol") -> dict[str, object]:
 #: The engine mode every snapshot this build writes or reads carries.
 _ENGINE = "packed"
 
+#: Every field :func:`save_checkpoint` writes into the header.
+_HEADER_FIELDS = frozenset({
+    "magic", "version", "engine", "nodes", "edges", "payload_sha256",
+    "payload_bytes", "created_unix", "reduction", "protocol",
+    "process_names", "process_types",
+})
+
 
 def _snapshot(graph: "GlobalConfigurationGraph") -> dict[str, object]:
     """The picklable payload for *graph*."""
@@ -124,10 +133,7 @@ def _snapshot(graph: "GlobalConfigurationGraph") -> dict[str, object]:
         "stats": graph.stats,
         "store": graph._store.snapshot(),
         "codec": graph.codec.snapshot_state(),
-        # The kernel's dense tables, payload-checksummed with everything
-        # else under the same header scheme — resumed runs rebuild
-        # nothing.  Optional on restore: snapshots written before the
-        # kernel was the only engine may lack them.
+        # The kernel's dense tables: resumed runs rebuild nothing.
         "kernel": graph.kernel.snapshot_state(),
     }
     if graph._reducer is not None:
@@ -209,11 +215,15 @@ def _read(path: str) -> tuple[dict[str, object], bytes]:
             f"{header.get('version')!r}, this build reads "
             f"{CHECKPOINT_VERSION}"
         )
+    if header.keys() != _HEADER_FIELDS or not isinstance(
+        header["reduction"], dict
+    ):
+        raise CheckpointCorrupt(f"{path}: malformed checkpoint header")
     digest = hashlib.sha256(payload).hexdigest()
-    if digest != header.get("payload_sha256"):
+    if digest != header["payload_sha256"]:
         raise CheckpointCorrupt(
             f"{path}: payload checksum mismatch "
-            f"(expected {header.get('payload_sha256')}, got {digest})"
+            f"(expected {header['payload_sha256']}, got {digest})"
         )
     return header, payload
 
@@ -267,15 +277,13 @@ def _install(
             )
     # A graph explored under one reduction policy is a *different graph*
     # from one explored under another (fewer edges, rerouted targets);
-    # resuming across the boundary would silently mix them.  Headers
-    # from before the reduction stamp read as "no reductions".  The
-    # stamp includes the canonicalization algorithm when the quotient is
-    # on: snapshots of the retired brute canonicalizer (stamped
-    # "brute") chose different orbit representatives, and pre-refine
-    # symmetry snapshots lack the per-edge renaming side table, so a
-    # symmetry header that is not stamped "refine" can never match and
-    # is refused here rather than mixed.
-    recorded = header.get("reduction", {"por": False, "symmetry": False})
+    # resuming across the boundary would silently mix them.  The stamp
+    # includes the canonicalization algorithm when the quotient is on:
+    # snapshots of the retired brute canonicalizer (stamped "brute")
+    # chose different orbit representatives, so a symmetry header that
+    # is not stamped "refine" can never match and is refused here
+    # rather than mixed.
+    recorded = header["reduction"]
     requested = _reduction_stamp(graph)
     if recorded != requested:
         raise CheckpointMismatch(
@@ -288,17 +296,9 @@ def _install(
     graph._store.restore(state["store"])
     graph._rich = {}
     graph.codec.restore_state(state["codec"])
-    kernel_state = state.get("kernel")
-    if kernel_state is not None:
-        # After the codec: kernel ids resolve against the restored
-        # interning tables.
-        graph.kernel.restore_state(kernel_state)
-    else:
-        # Written without kernel tables (by an engine that expanded
-        # through the scalar path): give every restored buffer a rep so
-        # the kernel's lazy allocation stays sound; the tables refill
-        # on demand.
-        graph.kernel.reindex()
+    # After the codec: kernel ids resolve against the restored
+    # interning tables.
+    graph.kernel.restore_state(state["kernel"])
     graph._kernel_store_eids = []
     decisions_of = graph.codec.decision_values
     n_nodes = len(graph._store)
@@ -325,9 +325,7 @@ def _install(
     graph._expansions_at_checkpoint = stats.expansions
     if graph._reducer is not None:
         graph._reducer._stats = stats
-        reducer_state = state.get("reducer")
-        if reducer_state is not None:
-            graph._reducer.restore_state(reducer_state)
+        graph._reducer.restore_state(state["reducer"])
     # Invalidate any CSR index and mark growth state fresh.
     graph._version += 1
     return CheckpointInfo(
@@ -368,15 +366,13 @@ def load_checkpoint(
 
     started = time.perf_counter()
     header, payload = _read(path)
-    if reduction is None:
-        stamp = header.get("reduction", {"por": False, "symmetry": False})
-        if stamp.get("por") or stamp.get("symmetry"):
-            from repro.core.reduction import ReductionPolicy
+    stamp = header["reduction"]
+    if reduction is None and (stamp.get("por") or stamp.get("symmetry")):
+        from repro.core.reduction import ReductionPolicy
 
-            reduction = ReductionPolicy(
-                por=bool(stamp.get("por")),
-                symmetry=bool(stamp.get("symmetry")),
-            )
+        reduction = ReductionPolicy(
+            por=bool(stamp.get("por")), symmetry=bool(stamp.get("symmetry"))
+        )
     graph = GlobalConfigurationGraph(
         protocol,
         workers=workers,

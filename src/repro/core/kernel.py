@@ -298,15 +298,11 @@ class TransitionKernel:
             self._object_bytes += sys.getsizeof(rep)
         return iid
 
-    def _inboxes_of(self, pairs: Iterable[tuple[int, int]]) -> tuple:
-        """The inbox tuple of a multiset given as message-id pairs."""
-        return tuple(map(self._intern_inbox, self._group(pairs)))
-
     def _rich_inboxes(self, buffer: MessageBuffer) -> tuple[int, ...]:
+        """The inbox tuple of a rich buffer."""
         intern = self._intern_message
-        return self._inboxes_of(
-            (intern(message), count) for message, count in buffer.items()
-        )
+        pairs = ((intern(message), count) for message, count in buffer.items())
+        return tuple(map(self._intern_inbox, self._group(pairs)))
 
     def reindex(self) -> None:
         """(Re)build inbox coverage for every buffer the codec holds.
@@ -315,8 +311,7 @@ class TransitionKernel:
         has its inbox tuple in the index, so an index miss proves the
         multiset is novel and the kernel may allocate the next id
         without consulting the rich index.  Called at attach time and
-        whenever the codec's tables were replaced behind the kernel's
-        back (a checkpoint restored without kernel tables)."""
+        after a checkpoint restore."""
         inboxes = self._buf_inboxes
         for bid in range(self.codec.interned_buffers):
             if bid >= len(inboxes) or inboxes[bid] is None:
@@ -734,13 +729,7 @@ class TransitionKernel:
     def restore_state(self, state: dict[str, object]) -> None:
         """Install a :meth:`snapshot_state` payload (codec restored
         first — message/event identity is content-based, so the rebuilt
-        id maps land on the same ids).
-
-        Snapshots from before the inbox split carry one flat ``reps``
-        tuple per buffer id instead of inboxes, and buffer-keyed
-        ``deliver``/``sends`` tables; the reps are split by destination
-        here and the old tables dropped (the inbox tables refill on
-        demand)."""
+        id maps land on the same ids)."""
         self._events = list(state["events"])
         self._event_ids = {e: i for i, e in enumerate(self._events)}
         self._ev_pos = array("q")
@@ -754,7 +743,7 @@ class TransitionKernel:
         self._mid_eids = []
         for message in state["msgs"]:
             self._intern_message(message)
-        self._pieces = list(state.get("pieces", ()))
+        self._pieces = list(state["pieces"])
         self._piece_ids = {p: i for i, p in enumerate(self._pieces)}
         self._batches = list(state["batches"])
         self._batch_ids = {b: i for i, b in enumerate(self._batches)}
@@ -781,34 +770,24 @@ class TransitionKernel:
         self._key_bytes = 0
         self._buf_inboxes = []
         self._buf_index = {}
-        if "inbox_reps" in state:
-            for rep in state["inbox_reps"]:
-                self._intern_inbox(rep)
-            self._deliver = dict(state["inbox_deliver"])
-            self._sends = dict(state["inbox_sends"])
-            getsizeof = sys.getsizeof
-            self._key_bytes = sum(
-                getsizeof(key)
-                for table in (self._deliver, self._sends)
-                for key in table
-            )
-            for bid, inboxes in enumerate(state["buffer_inboxes"]):
-                if inboxes is not None:
-                    self._register(bid, inboxes)
-        else:
-            self._deliver = {}
-            self._sends = {}
-            for bid, rep in enumerate(state["reps"]):
-                if rep is not None:
-                    self._register(
-                        bid, self._inboxes_of(zip(rep[0::2], rep[1::2]))
-                    )
+        for rep in state["inbox_reps"]:
+            self._intern_inbox(rep)
+        self._deliver = dict(state["inbox_deliver"])
+        self._sends = dict(state["inbox_sends"])
+        getsizeof = sys.getsizeof
+        self._key_bytes = sum(
+            getsizeof(key)
+            for table in (self._deliver, self._sends)
+            for key in table
+        )
+        for bid, inboxes in enumerate(state["buffer_inboxes"]):
+            if inboxes is not None:
+                self._register(bid, inboxes)
         self._null_eids = None
         counters = state["counters"]
         self.batch_expansions = int(counters[0])
         self.table_hits = int(counters[1])
         self.fallback_steps = int(counters[2])
-        # Codec and kernel snapshot atomically, so coverage should
-        # already be complete; reindex is a cheap no-op then, and
-        # restores the invariant if the codec grew in between.
+        # Codec and kernel snapshot together, so coverage is already
+        # complete and this is a cheap check of the invariant.
         self.reindex()

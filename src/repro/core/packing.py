@@ -263,8 +263,7 @@ class PackedCodec:
         Derived tables (reverse id maps, per-state outputs) are rebuilt
         rather than stored: they are pure functions of the id lists, and
         rebuilding keeps the snapshot small and impossible to
-        de-synchronize.  Transition memos that older snapshots carry
-        are ignored; the kernel's tables hold every step.
+        de-synchronize.
         """
         self._states = list(state["states"])
         self._state_ids = {s: i for i, s in enumerate(self._states)}

@@ -17,16 +17,20 @@ engine consults while growing a graph:
 * :class:`PartialResult` — the structured report an exploration leaves
   behind when a budget guard stops it instead of an OOM kill.
 
-Everything here is pure data plus one orchestration entry point,
-:func:`run_chaos_suite`, which exercises the recovery machinery
-end-to-end and checks the recovered graph's fingerprint against a clean
-serial run.
+Everything here is pure data plus the one chaos suite,
+:func:`run_chaos_suite`: a table of named scenarios, each of which
+breaks a real run (a pool worker, the parent's BFS loop, a ``repro
+serve`` daemon, a ``repro spectrum`` sweep), recovers it, and compares
+the answer with an uninterrupted run's.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -210,16 +214,6 @@ class BudgetGuard:
 # The chaos suite
 # ---------------------------------------------------------------------------
 
-#: Scenario names accepted by :func:`run_chaos_suite`.
-CHAOS_SCENARIOS = (
-    "worker-kill",
-    "worker-hang",
-    "batch-timeout",
-    "interrupt-resume",
-    "server-kill",
-    "sweep-kill",
-)
-
 
 @dataclass
 class ChaosOutcome:
@@ -244,251 +238,363 @@ class ChaosOutcome:
         return self.recovered and self.fingerprint_match
 
 
-def _default_root(protocol: "Protocol") -> "Configuration":
-    n = len(protocol.process_names)
-    return protocol.initial_configuration([0] * (n - 1) + [1])
+class _ScenarioFailed(Exception):
+    """A scenario got no answer to compare (the message says why)."""
+
+
+#: Deadline for a subprocess to get mid-flight, and for its rerun to
+#: answer.
+_KILL_TIMEOUT_S = 300.0
+_NO_ANSWER = f"no answer within {_KILL_TIMEOUT_S:g}s of restart"
+
+
+@dataclass
+class _ChaosRun:
+    """What every scenario runner is handed."""
+
+    name: str
+    protocol: "Protocol"
+    workers: int
+    budget: int
+    work_dir: str
+
+    @property
+    def root(self) -> "Configuration":
+        n = len(self.protocol.process_names)
+        return self.protocol.initial_configuration([0] * (n - 1) + [1])
+
+    @cached_property
+    def clean(self) -> tuple[str, int, bool]:
+        """``(fingerprint, BFS levels, complete)`` of an uninterrupted
+        serial run, explored on first use.  A budget-truncated run is
+        legitimately incomplete: recovery means matching it."""
+        from repro.core.exploration import GlobalConfigurationGraph
+
+        graph = GlobalConfigurationGraph(self.protocol)
+        try:
+            result = graph.explore(self.root, max_configurations=self.budget)
+            levels = graph.stats.explore_levels
+            return graph.fingerprint(), levels, result.complete
+        finally:
+            graph.close()
+
+
+def _pool_scenario(resilience: ResilienceConfig, **sentinels: str):
+    """A crew scenario: a pool exploration under *resilience*, with
+    each :class:`ChaosConfig` sentinel field set to that file in the
+    work directory, must finish with the clean run's graph."""
+
+    def run(ctx: _ChaosRun, name: str) -> ChaosOutcome:
+        if ctx.workers <= 1:
+            return ChaosOutcome(name, True, True, "skipped: workers <= 1")
+        from repro.core.exploration import GlobalConfigurationGraph
+
+        fingerprint, _levels, complete = ctx.clean
+        chaos = ChaosConfig(**{
+            key: os.path.join(ctx.work_dir, file)
+            for key, file in sentinels.items()
+        })
+        graph = GlobalConfigurationGraph(
+            ctx.protocol,
+            workers=ctx.workers,
+            min_batch_per_worker=1,
+            resilience=resilience,
+            chaos=chaos,
+        )
+        try:
+            result = graph.explore(ctx.root, max_configurations=ctx.budget)
+            stats = graph.stats.as_dict()
+            return ChaosOutcome(
+                name,
+                recovered=result.complete == complete,
+                fingerprint_match=graph.fingerprint() == fingerprint,
+                detail=(
+                    f"timeouts={stats['worker_timeouts']} "
+                    f"retries={stats['worker_retries']} "
+                    f"rebuilds={stats['pool_rebuilds']} "
+                    f"serial_fallbacks={stats['serial_fallbacks']}"
+                ),
+            )
+        finally:
+            graph.close()
+
+    return run
+
+
+def _interrupt_resume(ctx: _ChaosRun, name: str) -> ChaosOutcome:
+    """Interrupt at the first, middle and last BFS level of the clean
+    run, checkpointing every level; each resume must finish with the
+    clean fingerprint."""
+    from repro.core.checkpoint import load_checkpoint
+    from repro.core.exploration import GlobalConfigurationGraph
+
+    fingerprint, levels, _complete = ctx.clean
+    levels = sorted({1, max(1, levels // 2), levels})
+    path = os.path.join(ctx.work_dir, "interrupt.ckpt")
+    diverged = []
+    interrupted = False
+    for level in levels:
+        victim = GlobalConfigurationGraph(
+            ctx.protocol,
+            checkpoint=CheckpointConfig(path=path, every_levels=1),
+            chaos=ChaosConfig(interrupt_after_level=level),
+        )
+        try:
+            victim.explore(ctx.root, max_configurations=ctx.budget)
+        except KeyboardInterrupt:
+            interrupted = True
+        finally:
+            victim.close()
+        resumed = load_checkpoint(path, ctx.protocol)
+        try:
+            resumed.explore(ctx.root, max_configurations=ctx.budget)
+            if resumed.fingerprint() != fingerprint:
+                diverged.append(level)
+        finally:
+            resumed.close()
+    return ChaosOutcome(
+        name,
+        recovered=interrupted and not diverged,
+        fingerprint_match=not diverged,
+        detail=f"levels={levels} diverged_at={diverged or 'none'}",
+    )
+
+
+def _kill_and_rerun(launch, probe, collect):
+    """Kill-and-compare, shared by the subprocess scenarios.
+
+    ``launch()`` starts the subprocess; ``probe(process)`` is polled
+    under a deadline until it answers ``True`` (demonstrably mid-flight)
+    or ``False`` (finished first: still a valid comparison).  The
+    process is then SIGKILLed — no drain, no final checkpoint — and
+    launched again on the same durable state, and ``collect(process)``
+    waits for the rerun's answer.  Returns ``(mid_flight, answer)``.
+    """
+    first = launch()
+    second = None
+    try:
+        deadline = time.monotonic() + _KILL_TIMEOUT_S
+        verdict = None
+        while verdict is None and first.poll() is None:
+            if time.monotonic() > deadline:
+                break
+            time.sleep(0.02)
+            verdict = probe(first)
+        first.kill()
+        first.wait()
+        second = launch()
+        return bool(verdict), collect(second)
+    finally:
+        for process in (first, second):
+            if process is not None and process.poll() is None:
+                process.kill()
+                process.wait()
+
+
+def _server_kill(ctx: _ChaosRun, name: str) -> ChaosOutcome:
+    """SIGKILL a ``repro serve`` daemon mid-check-job; the daemon
+    restarted on the same spool must resume the job from its checkpoint
+    and answer with the ``result`` block of a cold in-process run."""
+    from pathlib import Path
+
+    from repro.serve.chaos import start_daemon, wait_for_endpoint
+    from repro.serve.runner import execute_job
+    from repro.serve.wire import JobSpec, canonical_json
+
+    n = len(ctx.protocol.process_names)
+    spec = JobSpec(verb="check", protocol=ctx.name, n=n, budget=ctx.budget)
+    reference = canonical_json(execute_job(spec)["result"])
+    spool = Path(ctx.work_dir) / "spool"
+    job = {}
+
+    def probe(daemon):
+        if not job:
+            client = wait_for_endpoint(spool, daemon)
+            submitted = client.submit(spec.to_dict())
+            if submitted.status not in (200, 202):
+                raise _ScenarioFailed(
+                    f"submit failed: {submitted.status} "
+                    f"{submitted.body[:200]!r}"
+                )
+            job.update(client=client, id=submitted.json()["job_id"])
+        view = job["client"].job(job["id"]).json()
+        if view["state"] == "done":
+            return False
+        # Mid-flight is running with a checkpoint in the spool: the
+        # claim under test is resume-from-snapshot.
+        running = view["state"] == "running"
+        return True if running and view["has_checkpoint"] else None
+
+    def collect(daemon):
+        if not job:
+            raise _ScenarioFailed("daemon exited before the job was submitted")
+        client = wait_for_endpoint(spool, daemon)
+        deadline = time.monotonic() + _KILL_TIMEOUT_S
+        while time.monotonic() < deadline:
+            response = client.result(job["id"])
+            view = client.job(job["id"]).json()
+            if response.status == 200:
+                return json.loads(response.body)["result"], view["resumes"]
+            if view["state"] == "failed":
+                raise _ScenarioFailed(
+                    f"job failed after restart: {view['error']}"
+                )
+            time.sleep(0.1)
+        raise _ScenarioFailed(_NO_ANSWER)
+
+    mid_flight, (result, resumes) = _kill_and_rerun(
+        lambda: start_daemon(spool), probe, collect
+    )
+    match = canonical_json(result) == reference
+    return ChaosOutcome(
+        name,
+        recovered=True,
+        fingerprint_match=match,
+        detail=f"mid_flight={mid_flight} resumes={resumes} "
+        f"result_match={match}",
+        stats={"mid_flight": mid_flight, "resumes": resumes},
+    )
+
+
+def _sweep_kill(ctx: _ChaosRun, name: str) -> ChaosOutcome:
+    """SIGKILL a ``repro spectrum`` smoke-grid sweep after its first
+    checkpointed cell; the rerun must resume from the checkpoint and
+    finish with the aggregate fingerprint of a clean sweep.  The
+    protocol under test plays no part."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.spectrum.montecarlo import SweepRunner, smoke_grid
+
+    reference = SweepRunner(smoke_grid()).run().fingerprint()
+    checkpoint = os.path.join(ctx.work_dir, "sweep.ckpt")
+    out_json = os.path.join(ctx.work_dir, "sweep.json")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    # The per-cell throttle widens the window between two cells.
+    command = [
+        sys.executable, "-m", "repro", "spectrum", "--preset", "smoke",
+        "--checkpoint", checkpoint, "--json", out_json,
+        "--throttle-s", "0.4",
+    ]
+
+    def launch():
+        return subprocess.Popen(
+            command,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+
+    def probe(_sweep):
+        try:
+            with open(checkpoint, encoding="utf-8") as handle:
+                return True if json.load(handle)["completed"] else None
+        except (OSError, ValueError, KeyError):
+            return None
+
+    def collect(sweep):
+        try:
+            code = sweep.wait(_KILL_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            raise _ScenarioFailed(_NO_ANSWER) from None
+        if code != 0:
+            raise _ScenarioFailed(f"resumed sweep exited {code}")
+        with open(out_json, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    mid_flight, result = _kill_and_rerun(launch, probe, collect)
+    match = result["fingerprint"] == reference
+    resumed = result["resumed_cells"]
+    return ChaosOutcome(
+        name,
+        recovered=result["completed_cells"] == result["total_cells"],
+        fingerprint_match=match,
+        detail=f"mid_flight={mid_flight} resumed_cells={resumed} "
+        f"fingerprint_match={match}",
+        stats={"mid_flight": mid_flight, "resumed_cells": resumed},
+    )
+
+
+#: Scenario name -> runner ``(context, name) -> ChaosOutcome``.
+_SCENARIOS = {
+    # A pool worker SIGKILLs itself mid-batch; the batch timeout
+    # detects it, the pool is rebuilt and the batch re-dispatched.  The
+    # timeout is generous: a killed worker's batch never completes, and
+    # a tight one would misfire on legitimately slow levels.
+    "worker-kill": _pool_scenario(
+        ResilienceConfig(batch_timeout_s=10.0, max_retries=3),
+        kill_once_path="kill.sentinel",
+    ),
+    # A worker sleeps far past the timeout: to the parent a hang is a
+    # crash, and recovers the same way.
+    "worker-hang": _pool_scenario(
+        ResilienceConfig(batch_timeout_s=0.5, max_retries=3),
+        hang_once_path="hang.sentinel",
+    ),
+    # Every dispatch times out: retries run out, the serial fallback
+    # finishes.
+    "batch-timeout": _pool_scenario(
+        ResilienceConfig(
+            batch_timeout_s=1e-6, max_retries=1, backoff_base_s=0.0
+        ),
+    ),
+    "interrupt-resume": _interrupt_resume,
+    "server-kill": _server_kill,
+    "sweep-kill": _sweep_kill,
+}
+
+#: Scenario names accepted by :func:`run_chaos_suite`.
+CHAOS_SCENARIOS = tuple(_SCENARIOS)
 
 
 def run_chaos_suite(
-    protocol: "Protocol",
+    protocol_name: str,
     *,
-    root: "Configuration | None" = None,
+    n: int | None = None,
     workers: int = 2,
     scenarios: tuple[str, ...] = CHAOS_SCENARIOS,
     max_configurations: int = 200_000,
     work_dir: str | None = None,
-    interrupt_levels: tuple[int, ...] | None = None,
-    protocol_name: str | None = None,
 ) -> list[ChaosOutcome]:
-    """Inject faults into real explorations and verify full recovery.
+    """Break real runs of the registered protocol *protocol_name*
+    (``n`` processes; ``None`` is the registry default) and verify that
+    each recovers to the answer of an uninterrupted run.
 
-    For each scenario, the recovered graph's :meth:`fingerprint` must be
-    byte-identical to an uninterrupted serial run — the determinism
-    contract of the whole resilient runtime.  Scenarios:
-
-    ``worker-kill``
-        One pool worker SIGKILLs itself mid-batch; the batch timeout
-        detects the loss, the pool is rebuilt and the batch re-dispatched.
-    ``worker-hang``
-        One pool worker sleeps far past the batch timeout; same recovery
-        path as a crash (a hang is indistinguishable from the parent).
-    ``batch-timeout``
-        Every dispatch is forced to time out (absurdly small timeout),
-        driving retries to exhaustion and the serial fallback.
-    ``interrupt-resume``
-        ``KeyboardInterrupt`` at chosen BFS levels with per-level
-        checkpoints; a fresh engine resumes from the snapshot and must
-        finish with the clean fingerprint.
-    ``server-kill``
-        SIGKILL a real ``repro serve`` daemon subprocess mid-job; the
-        restarted daemon must resume the job from its spool checkpoint
-        and answer with the cold run's result (see
-        :func:`repro.serve.chaos.run_server_kill`).  Needs
-        ``protocol_name`` (the daemon takes a registry name over the
-        wire); skipped with a note when it is not given.
-    ``sweep-kill``
-        SIGKILL a ``repro spectrum`` Monte-Carlo sweep subprocess
-        mid-grid; the rerun must resume from the per-cell checkpoint
-        and finish with the clean run's aggregate fingerprint (see
-        :func:`repro.spectrum.chaos.run_sweep_kill`).  Protocol-
-        independent: it always runs on the smoke grid.
-
-    Worker scenarios require ``workers > 1``; they are skipped (reported
-    as recovered, with a note) when ``workers <= 1``.
+    The in-process scenarios compare graph fingerprints with a clean
+    serial exploration; ``server-kill`` and ``sweep-kill`` SIGKILL a
+    real subprocess, rerun it on the same durable state, and compare
+    its answer.  The worker scenarios need ``workers > 1`` and are
+    reported as skipped otherwise.
     """
-    import os
+    import contextlib
     import tempfile
 
-    from repro.core.checkpoint import load_checkpoint
-    from repro.core.exploration import GlobalConfigurationGraph
+    from repro import registry
 
-    root = root if root is not None else _default_root(protocol)
-    own_dir = None
-    if work_dir is None:
-        own_dir = tempfile.TemporaryDirectory(prefix="flpkit-chaos-")
-        work_dir = own_dir.name
-
-    outcomes: list[ChaosOutcome] = []
-    try:
-        clean = GlobalConfigurationGraph(protocol)
-        clean_result = clean.explore(
-            root, max_configurations=max_configurations
+    unknown = [name for name in scenarios if name not in _SCENARIOS]
+    if unknown:
+        raise ValueError(
+            f"unknown chaos scenario {unknown[0]!r}; "
+            f"pick from {CHAOS_SCENARIOS}"
         )
-        clean_fp = clean.fingerprint()
-        clean_levels = clean.stats.explore_levels
-        # Budget-truncated explorations are legitimately incomplete;
-        # recovery means matching the clean run, not beating it.
-        clean_complete = clean_result.complete
-        clean.close()
-
-        def run_pool_scenario(name: str, chaos: ChaosConfig,
-                              config: ResilienceConfig) -> ChaosOutcome:
-            graph = GlobalConfigurationGraph(
-                protocol,
-                workers=workers,
-                min_batch_per_worker=1,
-                resilience=config,
-                chaos=chaos,
-            )
+    protocol = registry.build(protocol_name, n)
+    scratch = (
+        tempfile.TemporaryDirectory(prefix="flpkit-chaos-")
+        if work_dir is None
+        else contextlib.nullcontext(work_dir)
+    )
+    with scratch as work_dir:
+        ctx = _ChaosRun(
+            protocol_name, protocol, workers, max_configurations, work_dir
+        )
+        outcomes = []
+        for name in scenarios:
             try:
-                result = graph.explore(
-                    root, max_configurations=max_configurations
-                )
-                stats = graph.stats.as_dict()
-                return ChaosOutcome(
-                    scenario=name,
-                    recovered=result.complete == clean_complete,
-                    fingerprint_match=graph.fingerprint() == clean_fp,
-                    detail=(
-                        f"timeouts={stats['worker_timeouts']} "
-                        f"retries={stats['worker_retries']} "
-                        f"rebuilds={stats['pool_rebuilds']} "
-                        f"serial_fallbacks={stats['serial_fallbacks']}"
-                    ),
-                    stats=stats,
-                )
-            finally:
-                graph.close()
-
-        for scenario in scenarios:
-            if scenario not in CHAOS_SCENARIOS:
-                raise ValueError(
-                    f"unknown chaos scenario {scenario!r}; "
-                    f"pick from {CHAOS_SCENARIOS}"
-                )
-            if scenario == "sweep-kill":
-                from repro.spectrum.chaos import run_sweep_kill
-
-                outcomes.append(run_sweep_kill(work_dir=work_dir))
-                continue
-            if scenario == "server-kill":
-                if protocol_name is None:
-                    outcomes.append(
-                        ChaosOutcome(
-                            scenario=scenario,
-                            recovered=True,
-                            fingerprint_match=True,
-                            detail="skipped: needs protocol_name (the "
-                            "daemon takes a registry name)",
-                        )
-                    )
-                else:
-                    from repro.serve.chaos import run_server_kill
-
-                    outcomes.append(
-                        run_server_kill(
-                            protocol_name,
-                            n=len(protocol.process_names),
-                            budget=max_configurations,
-                            work_dir=work_dir,
-                        )
-                    )
-                continue
-            if scenario in ("worker-kill", "worker-hang", "batch-timeout"):
-                if workers <= 1:
-                    outcomes.append(
-                        ChaosOutcome(
-                            scenario=scenario,
-                            recovered=True,
-                            fingerprint_match=True,
-                            detail="skipped: workers <= 1",
-                        )
-                    )
-                    continue
-            if scenario == "worker-kill":
-                outcomes.append(
-                    run_pool_scenario(
-                        scenario,
-                        ChaosConfig(
-                            kill_once_path=os.path.join(
-                                work_dir, "kill.sentinel"
-                            )
-                        ),
-                        # Generous timeout: a killed worker's batch
-                        # *never* completes, so detection does not need
-                        # a tight deadline — and a tight one would
-                        # misfire on legitimately slow levels.
-                        ResilienceConfig(
-                            batch_timeout_s=10.0, max_retries=3
-                        ),
-                    )
-                )
-            elif scenario == "worker-hang":
-                outcomes.append(
-                    run_pool_scenario(
-                        scenario,
-                        ChaosConfig(
-                            hang_once_path=os.path.join(
-                                work_dir, "hang.sentinel"
-                            ),
-                            hang_seconds=30.0,
-                        ),
-                        ResilienceConfig(
-                            batch_timeout_s=0.5, max_retries=3
-                        ),
-                    )
-                )
-            elif scenario == "batch-timeout":
-                outcomes.append(
-                    run_pool_scenario(
-                        scenario,
-                        ChaosConfig(),
-                        ResilienceConfig(
-                            batch_timeout_s=1e-6,
-                            max_retries=1,
-                            backoff_base_s=0.0,
-                        ),
-                    )
-                )
-            elif scenario == "interrupt-resume":
-                levels = interrupt_levels
-                if levels is None:
-                    # Early, middle, and final level of the clean run.
-                    levels = tuple(
-                        sorted(
-                            {1, max(1, clean_levels // 2), clean_levels}
-                        )
-                    )
-                ckpt = os.path.join(work_dir, "interrupt.ckpt")
-                failures = []
-                interrupted_any = False
-                for level in levels:
-                    victim = GlobalConfigurationGraph(
-                        protocol,
-                        checkpoint=CheckpointConfig(
-                            path=ckpt, every_levels=1
-                        ),
-                        chaos=ChaosConfig(interrupt_after_level=level),
-                    )
-                    try:
-                        victim.explore(
-                            root, max_configurations=max_configurations
-                        )
-                    except KeyboardInterrupt:
-                        interrupted_any = True
-                    finally:
-                        victim.close()
-                    resumed = load_checkpoint(ckpt, protocol)
-                    try:
-                        resumed.explore(
-                            root, max_configurations=max_configurations
-                        )
-                        if resumed.fingerprint() != clean_fp:
-                            failures.append(level)
-                    finally:
-                        resumed.close()
-                outcomes.append(
-                    ChaosOutcome(
-                        scenario=scenario,
-                        recovered=interrupted_any and not failures,
-                        fingerprint_match=not failures,
-                        detail=(
-                            f"levels={list(levels)} "
-                            f"diverged_at={failures or 'none'}"
-                        ),
-                    )
-                )
-    finally:
-        if own_dir is not None:
-            own_dir.cleanup()
-    return outcomes
+                outcomes.append(_SCENARIOS[name](ctx, name))
+            except _ScenarioFailed as failure:
+                outcomes.append(ChaosOutcome(name, False, False, str(failure)))
+        return outcomes

@@ -1,41 +1,22 @@
-"""Server-kill chaos: SIGKILL the daemon mid-job, restart, compare.
+"""Launch a ``repro serve`` daemon subprocess and wait until it answers.
 
-The strongest recovery claim the service makes is that a daemon killed
-with no warning — no drain, no final checkpoint beyond the periodic
-cadence — resumes its in-flight jobs after restart and produces the
-*same deterministic result block* an uninterrupted run would.  This
-harness proves it end to end:
-
-1. compute a cold reference result in-process (no daemon, no spool);
-2. start a real daemon subprocess on a fresh spool, submit the job,
-   wait until it is running with at least one checkpoint on disk;
-3. ``SIGKILL`` the daemon;
-4. start a second daemon on the same spool, which recovers the job
-   from its record and resumes the engine from its checkpoint;
-5. assert the recovered ``result`` block equals the cold reference.
-
-Exposed through ``repro chaos --scenarios server-kill`` and pinned by
-``tests/chaos/test_server_kill.py`` (the acceptance instance: a 50k-node
-budget-capped exploration of ``benor``/3).
+The ``server-kill`` scenario of the chaos suite
+(:func:`repro.core.resilience.run_chaos_suite`) starts, SIGKILLs and
+restarts daemons through these helpers; the benchmark's serve workload
+uses them to host its daemon.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import signal
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
-from repro.core.resilience import ChaosOutcome
 from repro.serve.client import ServeClient
-from repro.serve.runner import execute_job
-from repro.serve.wire import JobSpec, canonical_json
 
-__all__ = ["run_server_kill", "start_daemon", "wait_for_endpoint"]
+__all__ = ["start_daemon", "wait_for_endpoint"]
 
 
 def start_daemon(
@@ -101,117 +82,3 @@ def wait_for_endpoint(
             pass
         time.sleep(0.05)
     raise TimeoutError(f"daemon on {spool} not ready within {timeout_s}s")
-
-
-def _stop_daemon(process: subprocess.Popen, timeout_s: float = 20.0) -> None:
-    if process.poll() is None:
-        process.terminate()
-        try:
-            process.wait(timeout_s)
-        except subprocess.TimeoutExpired:
-            process.kill()
-            process.wait()
-
-
-def run_server_kill(
-    protocol_name: str,
-    *,
-    n: int | None = None,
-    budget: int = 50_000,
-    checkpoint_every_s: float = 0.2,
-    work_dir: str | None = None,
-    timeout_s: float = 300.0,
-) -> ChaosOutcome:
-    """SIGKILL a daemon mid-check-job; the restarted daemon must answer
-    with a ``result`` block identical to a cold in-process run."""
-    spec = JobSpec(verb="check", protocol=protocol_name, n=n, budget=budget)
-
-    # Cold reference: same spec, no daemon, no checkpoints.
-    reference = canonical_json(execute_job(spec)["result"])
-
-    own_dir = None
-    if work_dir is None:
-        own_dir = tempfile.TemporaryDirectory(prefix="flpkit-server-kill-")
-        work_dir = own_dir.name
-    spool = Path(work_dir) / "spool"
-    first = second = None
-    try:
-        first = start_daemon(spool, checkpoint_every_s=checkpoint_every_s)
-        client = wait_for_endpoint(spool, first)
-        submitted = client.submit(spec.to_dict())
-        if submitted.status not in (200, 202):
-            return ChaosOutcome(
-                scenario="server-kill",
-                recovered=False,
-                fingerprint_match=False,
-                detail=f"submit failed: {submitted.status} "
-                f"{submitted.body[:200]!r}",
-            )
-        job_id = submitted.json()["job_id"]
-
-        # Wait until the job is demonstrably mid-flight: running, with
-        # at least one engine checkpoint in the spool.  Killing before
-        # the first checkpoint would still recover (re-run from
-        # scratch), but the interesting claim is resume-from-snapshot.
-        deadline = time.monotonic() + timeout_s
-        mid_flight = False
-        while time.monotonic() < deadline:
-            view = client.job(job_id).json()
-            if view["state"] == "done":
-                break  # too fast to interrupt; still a valid comparison
-            if view["state"] == "running" and view["has_checkpoint"]:
-                mid_flight = True
-                break
-            time.sleep(0.02)
-
-        os.kill(first.pid, signal.SIGKILL)
-        first.wait()
-
-        second = start_daemon(spool, checkpoint_every_s=checkpoint_every_s)
-        client = wait_for_endpoint(spool, second)
-        result = None
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            response = client.result(job_id)
-            if response.status == 200:
-                result = response
-                break
-            view = client.job(job_id).json()
-            if view["state"] == "failed":
-                return ChaosOutcome(
-                    scenario="server-kill",
-                    recovered=False,
-                    fingerprint_match=False,
-                    detail=f"job failed after restart: {view['error']}",
-                )
-            time.sleep(0.1)
-        if result is None:
-            return ChaosOutcome(
-                scenario="server-kill",
-                recovered=False,
-                fingerprint_match=False,
-                detail=f"no result within {timeout_s}s of restart",
-            )
-        view = client.job(job_id).json()
-        recovered_block = canonical_json(json.loads(result.body)["result"])
-        match = recovered_block == reference
-        return ChaosOutcome(
-            scenario="server-kill",
-            recovered=True,
-            fingerprint_match=match,
-            detail=(
-                f"mid_flight={mid_flight} resumes={view['resumes']} "
-                f"result_match={match}"
-            ),
-            stats={
-                "mid_flight": mid_flight,
-                "resumes": view["resumes"],
-                "budget": budget,
-            },
-        )
-    finally:
-        for process in (first, second):
-            if process is not None:
-                _stop_daemon(process)
-        if own_dir is not None:
-            own_dir.cleanup()

@@ -112,9 +112,3 @@ class Spool:
             self.endpoint_path,
             canonical_json({"host": host, "port": port, "pid": pid}),
         )
-
-    def read_endpoint(self) -> dict[str, object] | None:
-        try:
-            return json.loads(self.endpoint_path.read_bytes())
-        except (OSError, ValueError):
-            return None

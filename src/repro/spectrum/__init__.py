@@ -17,9 +17,9 @@ confidence intervals.
   coordinator;
 * :mod:`repro.spectrum.montecarlo` — the sweep runtime: grid cells,
   per-cell checkpointing, parallel fan-out, budget degradation, and
-  the phase-boundary expectations the benchmark gates;
-* :mod:`repro.spectrum.chaos` — the ``sweep-kill`` chaos scenario
-  (SIGKILL a sweep mid-grid, resume fingerprint-identically).
+  the phase-boundary expectations the benchmark gates (its
+  kill-and-resume identity is the ``sweep-kill`` scenario of
+  ``repro chaos``).
 """
 
 from repro.spectrum.adversary import (

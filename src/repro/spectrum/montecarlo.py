@@ -12,7 +12,9 @@ sweep-kill`` enforces with a real SIGKILL.
 
 Robustness mirrors the exploration engine's contract:
 
-* per-cell checkpointing (atomic tmp + rename) with resume;
+* per-cell checkpointing (atomic tmp + rename, checksummed) with
+  resume; a damaged or foreign checkpoint raises a
+  :class:`~repro.core.errors.CheckpointError` instead of restarting;
 * fan-out over a ``multiprocessing`` pool, merged deterministically;
 * wall-clock / memory budgets degrade to a
   :class:`repro.core.resilience.PartialResult` covering the completed
@@ -42,6 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from repro.core.errors import CheckpointCorrupt, CheckpointMismatch
 from repro.core.resilience import BudgetGuard, PartialResult, ResilienceConfig
 from repro.core.seeding import stable_seed
 from repro.spectrum.adversary import ADVERSARY_GRADES, make_adversary
@@ -73,7 +76,9 @@ PROTOCOL_FAMILIES = ("benor", "rotating")
 DETECTOR_CLASSES = ("none", "perfect", "evstrong")
 _GRADES = ("none",) + ADVERSARY_GRADES
 
-_CHECKPOINT_VERSION = 1
+#: Sweep checkpoint format: a JSON object whose ``sha256`` field is the
+#: digest of the canonical JSON of every other field.
+_CHECKPOINT_VERSION = 2
 
 
 def _canonical(payload: object) -> bytes:
@@ -464,27 +469,46 @@ class SweepRunner:
     # -- checkpointing -----------------------------------------------------
 
     def _load_checkpoint(self) -> dict[str, CellOutcome]:
-        if not self.checkpoint_path or not os.path.exists(
-            self.checkpoint_path
-        ):
+        """The completed cells of this grid in the checkpoint, if any.
+
+        A file that is unreadable, fails its checksum, or is of another
+        kind or version raises :class:`CheckpointCorrupt`; one from
+        another base seed raises :class:`CheckpointMismatch`.  Either
+        way the sweep stops rather than silently restart over it.
+        """
+        path = self.checkpoint_path
+        if not path or not os.path.exists(path):
             return {}
         try:
-            with open(self.checkpoint_path, encoding="utf-8") as handle:
+            with open(path, encoding="utf-8") as handle:
                 data = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return {}
+        except (OSError, ValueError) as error:
+            raise CheckpointCorrupt(
+                f"{path}: unreadable sweep checkpoint ({error})"
+            ) from None
         if (
-            data.get("version") != _CHECKPOINT_VERSION
+            not isinstance(data, dict)
             or data.get("kind") != "spectrum-sweep"
-            or data.get("base_seed") != self.base_seed
+            or data.get("version") != _CHECKPOINT_VERSION
         ):
-            return {}
+            raise CheckpointCorrupt(
+                f"{path}: not a version-{_CHECKPOINT_VERSION} sweep "
+                "checkpoint"
+            )
+        digest = data.pop("sha256", None)
+        if digest != hashlib.sha256(_canonical(data)).hexdigest():
+            raise CheckpointCorrupt(f"{path}: sweep checkpoint checksum mismatch")
+        if data["base_seed"] != self.base_seed:
+            raise CheckpointMismatch(
+                f"{path}: sweep checkpoint is for base seed "
+                f"{data['base_seed']}, this sweep uses {self.base_seed}"
+            )
         valid_keys = {cell.key() for cell in self.cells}
-        outcomes = {}
-        for key, outcome_data in data.get("completed", {}).items():
-            if key in valid_keys:
-                outcomes[key] = CellOutcome.from_dict(outcome_data)
-        return outcomes
+        return {
+            key: CellOutcome.from_dict(outcome)
+            for key, outcome in data["completed"].items()
+            if key in valid_keys
+        }
 
     def _write_checkpoint(self, outcomes: Mapping[str, CellOutcome]) -> None:
         if not self.checkpoint_path:
@@ -499,6 +523,7 @@ class SweepRunner:
                 for key, outcome in sorted(outcomes.items())
             },
         }
+        payload["sha256"] = hashlib.sha256(_canonical(payload)).hexdigest()
         tmp = f"{self.checkpoint_path}.tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, sort_keys=True)

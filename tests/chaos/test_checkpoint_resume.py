@@ -91,7 +91,8 @@ class TestPackedEngine:
 class TestChaosSuiteEntryPoint:
     def test_interrupt_resume_scenario_via_public_api(self, protocol):
         outcomes = run_chaos_suite(
-            protocol,
+            "parity-arbiter",
+            n=3,
             workers=1,  # worker scenarios skipped, deterministic + fast
             max_configurations=BUDGET,
         )
@@ -101,4 +102,4 @@ class TestChaosSuiteEntryPoint:
 
     def test_unknown_scenario_rejected(self, protocol):
         with pytest.raises(ValueError, match="unknown chaos scenario"):
-            run_chaos_suite(protocol, scenarios=("nope",))
+            run_chaos_suite("parity-arbiter", scenarios=("nope",))

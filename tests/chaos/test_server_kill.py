@@ -8,20 +8,16 @@ checkpoint and answer with a ``result`` block — census fingerprint
 included — identical to an uninterrupted cold run.
 """
 
-import json
-
 from repro.core.resilience import run_chaos_suite
-from repro.serve.chaos import run_server_kill
-from repro import registry
 
 
 class TestServerKill:
     def test_sigkill_mid_job_resumes_byte_identical(self, tmp_path):
-        outcome = run_server_kill(
+        (outcome,) = run_chaos_suite(
             "benor",
             n=3,
-            budget=50_000,
-            checkpoint_every_s=0.2,
+            scenarios=("server-kill",),
+            max_configurations=50_000,
             work_dir=str(tmp_path),
         )
         assert outcome.recovered, outcome.detail
@@ -32,25 +28,13 @@ class TestServerKill:
         assert outcome.stats["mid_flight"], outcome.detail
         assert outcome.stats["resumes"] >= 1
 
-    def test_suite_entry_point_skips_without_protocol_name(self):
-        protocol = registry.info("parity-arbiter").build(3)
-        outcomes = run_chaos_suite(
-            protocol,
-            scenarios=("server-kill",),
-            max_configurations=2_000,
-        )
-        assert len(outcomes) == 1
-        assert outcomes[0].ok
-        assert "skipped" in outcomes[0].detail
-
     def test_suite_entry_point_runs_with_protocol_name(self, tmp_path):
-        protocol = registry.info("parity-arbiter").build(3)
         outcomes = run_chaos_suite(
-            protocol,
+            "parity-arbiter",
+            n=3,
             scenarios=("server-kill",),
             max_configurations=2_000,
             work_dir=str(tmp_path),
-            protocol_name="parity-arbiter",
         )
         assert len(outcomes) == 1
         assert outcomes[0].ok, outcomes[0].detail

@@ -186,7 +186,7 @@ class TestModelErrorsPropagate:
 class TestFullSuite:
     def test_all_scenarios_recover_byte_identically(self, protocol):
         outcomes = run_chaos_suite(
-            protocol, workers=2, max_configurations=BUDGET
+            "parity-arbiter", n=3, workers=2, max_configurations=BUDGET
         )
         failed = [o.scenario for o in outcomes if not o.ok]
         assert not failed, f"chaos scenarios failed: {failed}"

@@ -66,93 +66,17 @@ def _read_raw(path):
     return header, state
 
 
-def save_without_kernel_tables(graph, path):
-    """Save *graph* the way an engine that expanded through the scalar
-    step path wrote snapshots: every codec buffer rich, and no
-    ``"kernel"`` payload key."""
-    for bid in range(graph.codec.interned_buffers):
-        graph.codec.buffer_at(bid)
-    save_checkpoint(graph, path)
-    header, state = _read_raw(path)
-    del state["kernel"]
-    _rewrite(path, header, state)
-
-
-def save_with_codec_memos(graph, path):
-    """Save *graph* the way engines whose codec kept rich-keyed
-    transition memos wrote snapshots: the codec payload also carries
-    the step / delivery / send memos and the step hit counters."""
-    save_checkpoint(graph, path)
-    header, state = _read_raw(path)
-    state["codec"].update(
-        steps={}, deliveries={}, sends={}, step_hits=0, step_misses=0
-    )
-    _rewrite(path, header, state)
-
-
-def save_with_flat_reps(graph, path):
-    """Save *graph* the way kernels that kept one flat rep per buffer
-    wrote snapshots: ``reps`` (per buffer id its ``(message_id, count,
-    ...)`` tuple in ``(destination, repr(value))`` order) and
-    buffer-keyed ``deliver``/``sends`` tables (``buffer_id * 2**20 +
-    message_or_batch_id``), in place of inboxes and inbox tables."""
-    save_checkpoint(graph, path)
-    header, state = _read_raw(path)
-    kernel = state["kernel"]
-    inbox_reps = kernel.pop("inbox_reps")
-    reps = [
-        tuple(v for iid in inboxes for v in inbox_reps[iid])
-        for inboxes in kernel.pop("buffer_inboxes")
-    ]
-    rep_ids = {rep: bid for bid, rep in enumerate(reps)}
-    deliver = {}
-    for bid, rep in enumerate(reps):
-        for i in range(0, len(rep), 2):
-            if rep[i + 1] > 1:
-                after = rep[:i + 1] + (rep[i + 1] - 1,) + rep[i + 2:]
-            else:
-                after = rep[:i] + rep[i + 2:]
-            if after in rep_ids:
-                deliver[bid * 2**20 + rep[i]] = rep_ids[after]
-    for key in ("pieces", "inbox_deliver", "inbox_sends"):
-        del kernel[key]
-    kernel.update(reps=reps, deliver=deliver, sends={})
-    _rewrite(path, header, state)
-
-
-def _save(graph, path, kernel_tables):
-    if kernel_tables == "memos":
-        save_with_codec_memos(graph, path)
-    elif kernel_tables == "flat-reps":
-        save_with_flat_reps(graph, path)
-    elif kernel_tables:
-        save_checkpoint(graph, path)
-    else:
-        save_without_kernel_tables(graph, path)
-
-
-#: Snapshots as this engine writes them, as engines that never ran the
-#: kernel wrote them (no kernel tables in the payload), as engines
-#: whose codec also memoized transitions wrote them, and as kernels
-#: with one flat rep per buffer (no inboxes) wrote them.
-SNAPSHOT_KINDS = pytest.mark.parametrize(
-    "kernel_tables",
-    [True, False, "memos", "flat-reps"],
-    ids=[
-        "packed", "packed-no-kernel", "packed-codec-memos",
-        "packed-flat-reps",
-    ],
-)
+#: The one snapshot shape this engine writes and reads.
+SNAPSHOT_KINDS = pytest.mark.parametrize("engine", ["packed"])
 
 
 class TestRoundTrip:
     @SNAPSHOT_KINDS
-    def test_restore_preserves_everything(
-        self, protocol, tmp_path, kernel_tables
-    ):
+    def test_restore_preserves_everything(self, protocol, tmp_path, engine):
         graph = _explored(protocol)
         path = str(tmp_path / "g.ckpt")
-        _save(graph, path, kernel_tables)
+        save_checkpoint(graph, path)
+        assert read_checkpoint_header(path)["engine"] == engine
         info = restore_checkpoint(
             GlobalConfigurationGraph(protocol), path
         )
@@ -210,7 +134,7 @@ class TestRoundTrip:
 class TestResumeIdentity:
     @SNAPSHOT_KINDS
     def test_grow_after_restore_matches_uninterrupted(
-        self, protocol, tmp_path, kernel_tables
+        self, protocol, tmp_path, engine
     ):
         budget = 5000
         clean = GlobalConfigurationGraph(protocol)
@@ -220,7 +144,8 @@ class TestResumeIdentity:
         partial = GlobalConfigurationGraph(protocol)
         partial.explore(_root(protocol), max_configurations=150)
         path = str(tmp_path / "partial.ckpt")
-        _save(partial, path, kernel_tables)
+        save_checkpoint(partial, path)
+        assert read_checkpoint_header(path)["engine"] == engine
 
         resumed = load_checkpoint(path, protocol)
         assert len(resumed) < len(clean)
@@ -260,17 +185,40 @@ class TestIntegrity:
             read_checkpoint_header(path)
 
     def test_future_version_refused(self, protocol, tmp_path):
+        # A future format, and version 2 (whose restore branches for
+        # older payload shapes are gone): refused before unpickling,
+        # with both versions named.
         graph = _explored(protocol)
         path = str(tmp_path / "g.ckpt")
         save_checkpoint(graph, path)
         with open(path, "rb") as handle:
             header = json.loads(handle.readline())
             payload = handle.read()
-        header["version"] = 999
-        with open(path, "wb") as handle:
-            handle.write(json.dumps(header).encode() + b"\n" + payload)
-        with pytest.raises(CheckpointMismatch, match="version"):
-            read_checkpoint_header(path)
+        for version in (999, 2):
+            header["version"] = version
+            with open(path, "wb") as handle:
+                handle.write(json.dumps(header).encode() + b"\n" + payload)
+            expected = f"version {version}, this build reads 3"
+            with pytest.raises(CheckpointMismatch, match=expected):
+                read_checkpoint_header(path)
+            with pytest.raises(CheckpointMismatch, match=expected):
+                load_checkpoint(path, protocol)
+
+    def test_header_with_a_missing_or_extra_field_is_corrupt(
+        self, protocol, tmp_path
+    ):
+        graph = _explored(protocol)
+        path = str(tmp_path / "g.ckpt")
+        save_checkpoint(graph, path)
+        header, state = _read_raw(path)
+        for damaged in (
+            {k: v for k, v in header.items() if k != "reduction"},
+            dict(header, extra=1),
+            dict(header, reduction=[]),
+        ):
+            _rewrite(path, damaged, state)
+            with pytest.raises(CheckpointCorrupt, match="malformed"):
+                load_checkpoint(path, protocol)
 
     def test_missing_file(self, protocol, tmp_path):
         with pytest.raises(CheckpointError):

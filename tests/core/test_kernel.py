@@ -37,7 +37,6 @@ from tests.core.test_census_fingerprints import (
     _faulted_benor,
     census_fingerprint,
 )
-from tests.core.test_checkpoint import save_without_kernel_tables
 from tests.reference import assert_same_graph, explore
 
 #: The parity zoo: (factory, budget).  ``None`` = explore to closure.
@@ -321,11 +320,11 @@ class TestCheckpointResume:
         fp, _, _ = _explore(protocol, root, budget=budget)
         return fp
 
-    def _partial(self, protocol, root, tmp_path, *, save, budget=150):
+    def _partial(self, protocol, root, tmp_path, *, budget=150):
         graph = GlobalConfigurationGraph(protocol)
         graph.explore(root, max_configurations=budget)
         path = str(tmp_path / "partial.ckpt")
-        save(graph, path)
+        save_checkpoint(graph, path)
         graph.close()
         return path
 
@@ -336,27 +335,10 @@ class TestCheckpointResume:
         protocol = protocol_parity3
         root = protocol.initial_configuration([0, 0, 1])
         clean = self._uninterrupted(protocol, root, 5000)
-        path = self._partial(protocol, root, tmp_path, save=save_checkpoint)
+        path = self._partial(protocol, root, tmp_path)
         resumed = load_checkpoint(path, protocol)
         # The snapshot restored real table state, not a cold kernel.
         assert resumed.kernel.table_bytes > 0
-        resumed.explore(root, max_configurations=5000)
-        assert resumed.fingerprint() == clean
-
-    def test_scalar_checkpoint_resumes_on_kernel_engine(
-        self, protocol_parity3, tmp_path
-    ):
-        """A snapshot without kernel tables (written by an engine that
-        expanded through the scalar step path): the kernel reindexes the
-        restored codec (every buffer gets a rep) before its first
-        batch, and the resumed run is byte-identical."""
-        protocol = protocol_parity3
-        root = protocol.initial_configuration([0, 0, 1])
-        clean = self._uninterrupted(protocol, root, 5000)
-        path = self._partial(
-            protocol, root, tmp_path, save=save_without_kernel_tables
-        )
-        resumed = load_checkpoint(path, protocol)
         resumed.explore(root, max_configurations=5000)
         assert resumed.fingerprint() == clean
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.errors import CheckpointCorrupt, CheckpointMismatch
 from repro.spectrum.montecarlo import (
     SpectrumCell,
     SweepResult,
@@ -133,23 +134,55 @@ class TestSweepRunner:
         assert resumed.resumed_cells == 2
         assert resumed.fingerprint() == reference.fingerprint()
 
-    def test_checkpoint_with_other_seed_is_ignored(self, tmp_path):
+    def test_checkpoint_with_other_seed_is_refused(self, tmp_path):
         path = tmp_path / "sweep.ckpt"
         SweepRunner(
             _tiny_grid(), base_seed=0, checkpoint_path=str(path)
         ).run()
+        written = path.read_bytes()
         other = SweepRunner(
             _tiny_grid(), base_seed=1, checkpoint_path=str(path)
-        ).run()
-        assert other.resumed_cells == 0
+        )
+        with pytest.raises(CheckpointMismatch, match="base seed 0"):
+            other.run()
+        # Refused, not restarted over: the file is left as it was.
+        assert path.read_bytes() == written
 
-    def test_corrupt_checkpoint_is_ignored(self, tmp_path):
+    def test_corrupt_checkpoint_is_refused(self, tmp_path):
         path = tmp_path / "sweep.ckpt"
         path.write_text("{torn")
-        result = SweepRunner(
-            _tiny_grid(), checkpoint_path=str(path)
+        runner = SweepRunner(_tiny_grid(), checkpoint_path=str(path))
+        with pytest.raises(CheckpointCorrupt, match="unreadable"):
+            runner.run()
+        assert path.read_text() == "{torn"
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data: dict(data, kind="other"),
+            lambda data: dict(data, version=1),
+            lambda data: dict(data, base_seed=7),
+            lambda data: [data],
+        ],
+        ids=["kind", "version", "unchecksummed-edit", "not-object"],
+    )
+    def test_foreign_or_edited_checkpoint_is_refused(self, tmp_path, damage):
+        path = tmp_path / "sweep.ckpt"
+        SweepRunner(_tiny_grid(), checkpoint_path=str(path)).run()
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        written = path.read_bytes()
+        runner = SweepRunner(_tiny_grid(), checkpoint_path=str(path))
+        with pytest.raises(CheckpointCorrupt):
+            runner.run()
+        assert path.read_bytes() == written
+
+    def test_cells_outside_the_grid_are_dropped(self, tmp_path):
+        path = tmp_path / "sweep.ckpt"
+        SweepRunner(_tiny_grid(), checkpoint_path=str(path)).run()
+        resumed = SweepRunner(
+            [FAST_BENOR], checkpoint_path=str(path)
         ).run()
-        assert result.complete and result.resumed_cells == 0
+        assert resumed.resumed_cells == 1 and resumed.complete
 
     def test_request_stop_degrades_to_partial(self):
         runner = SweepRunner(_tiny_grid())

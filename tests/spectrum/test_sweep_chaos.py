@@ -1,7 +1,6 @@
 """Sweep-kill chaos: SIGKILL mid-grid, resume, byte-identical answer."""
 
-from repro.core.resilience import CHAOS_SCENARIOS
-from repro.spectrum.chaos import run_sweep_kill
+from repro.core.resilience import CHAOS_SCENARIOS, run_chaos_suite
 
 
 class TestScenarioRegistration:
@@ -11,14 +10,15 @@ class TestScenarioRegistration:
 
 class TestSweepKill:
     def test_killed_sweep_resumes_identically(self, tmp_path):
-        outcome = run_sweep_kill(
-            work_dir=str(tmp_path), throttle_s=0.4
+        # The protocol name is irrelevant: the scenario always sweeps
+        # the smoke grid.
+        (outcome,) = run_chaos_suite(
+            "benor", scenarios=("sweep-kill",), work_dir=str(tmp_path)
         )
         assert outcome.scenario == "sweep-kill"
         assert outcome.recovered
         assert outcome.fingerprint_match
         # The kill really landed mid-grid and the rerun really resumed
         # rather than recomputing from scratch.
-        assert outcome.stats["mid_grid"] is True
-        assert outcome.stats["killed_at_cell"] >= 1
+        assert outcome.stats["mid_flight"] is True
         assert outcome.stats["resumed_cells"] >= 1
