@@ -49,13 +49,13 @@ from repro.core.correctness import (
     check_determinism,
     check_partial_correctness,
     check_validity,
-    root_closures,
 )
 from repro.core.errors import (
     AdversaryStuck,
     CheckpointError,
     SymmetryError,
 )
+from repro.core.exploration import GlobalConfigurationGraph
 from repro.core.resilience import (
     CHAOS_SCENARIOS,
     CheckpointConfig,
@@ -183,15 +183,21 @@ def _cmd_check(args) -> int:
     determinism = check_determinism(protocol)
     print(f"determinism: {determinism.summary()}")
     if entry.analyzable:
-        # One exploration serves both reports; it is released before
-        # the census engine grows.
-        closures = root_closures(protocol)
-        report = check_partial_correctness(protocol, closures=closures)
-        print(f"partial correctness: {report.summary()}")
-        validity = check_validity(protocol, closures=closures)
-        print(f"validity: {'holds' if validity.valid else 'VIOLATED'}")
-        del closures
+        # The reports read the census engine, so one exploration serves
+        # all three and the engine flags cover it.  A reduced engine
+        # (asked for, or adopted from a --resume checkpoint) prunes or
+        # folds the accessible set the reports count, so they grow a
+        # plain engine of their own, released before the census grows.
         analyzer = _make_analyzer(protocol, args)
+        separate = analyzer.graph.reduced
+        graph = (
+            GlobalConfigurationGraph(protocol) if separate else analyzer.graph
+        )
+        report = check_partial_correctness(protocol, graph=graph)
+        print(f"partial correctness: {report.summary()}")
+        validity = check_validity(protocol, graph=graph)
+        print(f"validity: {'holds' if validity.valid else 'VIOLATED'}")
+        del graph
         rows = [
             {
                 "inputs": "".join(str(b) for b in vector),
@@ -206,6 +212,12 @@ def _cmd_check(args) -> int:
         print(format_table(rows))
         if args.stats:
             _print_engine_stats(analyzer)
+            if separate:
+                print(
+                    "(the correctness reports read a separate unreduced "
+                    "engine: POR or symmetry prunes or folds the "
+                    "accessible set they count)"
+                )
         analyzer.close()
         return 0 if report.is_partially_correct else 1
 

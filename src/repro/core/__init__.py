@@ -14,7 +14,6 @@ from repro.core.correctness import (
     check_determinism,
     check_partial_correctness,
     check_validity,
-    root_closures,
 )
 from repro.core.errors import (
     AdversaryStuck,
@@ -63,7 +62,6 @@ __all__ = [
     "check_determinism",
     "check_partial_correctness",
     "check_validity",
-    "root_closures",
     "AdversaryStuck",
     "FLPError",
     "InvalidEvent",

@@ -12,17 +12,19 @@ stronger than condition (2) and satisfied by all non-degenerate protocols
 in the zoo; the paper's trivial always-0 protocol fails condition (2) and
 serves as this module's negative control.
 
-Both checks read the same per-root closures: one shared engine grown
-from every initial configuration in turn.  Each builds them itself by
-default; :func:`root_closures` builds them once, so a caller running
-both (``repro check``) explores the accessible set once and passes the
-result to each as ``closures=``.
+Both checks read per-root closures off one engine, grown from every
+initial configuration in turn.  Each grows a fresh engine by default;
+given ``graph=``, they read (and grow as needed) that engine instead,
+so ``repro check`` explores the accessible set once for both reports
+and the valency census.  The engine must be unreduced: partial-order
+reduction prunes the accessible set and the symmetry quotient folds it,
+so their explored counts are not the paper's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.core.configuration import Configuration
 from repro.core.exploration import (
@@ -35,7 +37,6 @@ from repro.core.values import ONE, ZERO
 
 __all__ = [
     "PartialCorrectnessReport",
-    "root_closures",
     "check_partial_correctness",
     "ValidityReport",
     "check_validity",
@@ -97,63 +98,45 @@ class PartialCorrectnessReport:
 
 
 def _root_closures(
-    protocol: Protocol, max_configurations: int
-) -> Iterator[tuple[GlobalConfigurationGraph, Configuration, GrowthResult]]:
-    """Grow one engine from every initial configuration in turn.
+    graph: GlobalConfigurationGraph, max_configurations: int
+) -> Iterator[tuple[Configuration, GrowthResult]]:
+    """Grow *graph* from every initial configuration in turn.
 
-    Yields ``(graph, initial, growth)`` per root, in hypercube order.
+    Yields ``(initial, growth)`` per root, in hypercube order.
     Each root may intern *max_configurations* configurations on top of
-    what the engine already holds, so the budget is per root.  Node ids
-    follow breadth-first discovery order from the root that first
-    reached them and decision lists grow in id order, so the first
-    match in a root's closure is the one its search meets first.
+    what the engine already holds, so the budget is per root; on a
+    complete engine each root is a pure walk.  Node ids follow
+    breadth-first discovery order from the root that first reached
+    them and decision lists grow in id order, so the first match in a
+    root's closure is the one its search meets first.
     """
-    graph = GlobalConfigurationGraph(protocol)
-    for initial in protocol.initial_configurations():
+    for initial in graph.protocol.initial_configurations():
         growth = graph.explore(
             initial, max_configurations=len(graph) + max_configurations
         )
-        yield graph, initial, growth
-
-
-#: One ``(graph, initial, growth)`` triple per initial configuration.
-RootClosure = tuple[GlobalConfigurationGraph, Configuration, GrowthResult]
-
-
-def root_closures(
-    protocol: Protocol,
-    max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
-) -> list[RootClosure]:
-    """Every root's closure at once, for more than one check to read.
-
-    The materialized :func:`_root_closures` sequence: one shared
-    engine, each root's growth under the per-root budget.  A check fed
-    these returns exactly the report it builds on its own.  Drop the
-    list when done — it holds the whole engine.
-    """
-    return list(_root_closures(protocol, max_configurations))
+        yield initial, growth
 
 
 def check_partial_correctness(
     protocol: Protocol,
     max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
     *,
-    closures: Iterable[RootClosure] | None = None,
+    graph: GlobalConfigurationGraph | None = None,
 ) -> PartialCorrectnessReport:
     """Check the paper's partial-correctness conditions by exploration.
 
     Explores the accessible set from every initial configuration (all
-    2^N input vectors) under the given per-root budget, or reads
-    *closures* from :func:`root_closures` (the budget is then theirs).
+    2^N input vectors) under the given per-root budget, on *graph* (an
+    unreduced engine of *protocol*) or a fresh engine.
     """
-    if closures is None:
-        closures = _root_closures(protocol, max_configurations)
     agreement_ok = True
     witness: Configuration | None = None
     zero_reachable = one_reachable = False
     complete = True
     explored = 0
-    for graph, _initial, growth in closures:
+    if graph is None:
+        graph = GlobalConfigurationGraph(protocol)
+    for _initial, growth in _root_closures(graph, max_configurations):
         nodes = growth.nodes
         explored += len(nodes)
         complete = complete and growth.complete
@@ -275,18 +258,18 @@ def check_validity(
     protocol: Protocol,
     max_configurations: int = DEFAULT_MAX_CONFIGURATIONS,
     *,
-    closures: Iterable[RootClosure] | None = None,
+    graph: GlobalConfigurationGraph | None = None,
 ) -> ValidityReport:
     """Check validity over the accessible set of every initial config.
 
-    Stops at the first violating root; *closures* as for
+    Stops at the first violating root; *graph* as for
     :func:`check_partial_correctness`.
     """
-    if closures is None:
-        closures = _root_closures(protocol, max_configurations)
     complete = True
     explored = 0
-    for graph, initial, growth in closures:
+    if graph is None:
+        graph = GlobalConfigurationGraph(protocol)
+    for initial, growth in _root_closures(graph, max_configurations):
         nodes = growth.nodes
         explored += len(nodes)
         complete = complete and growth.complete

@@ -485,6 +485,12 @@ class GlobalConfigurationGraph:
                 )
 
     @property
+    def reduced(self) -> bool:
+        """Whether POR prunes or the symmetry quotient folds this graph
+        (a requested quotient that fell back to the identity does not)."""
+        return self._reducer is not None or self._quotient is not None
+
+    @property
     def codec(self):
         """The packed codec."""
         return self._codec
@@ -1124,14 +1130,15 @@ class GlobalConfigurationGraph:
         if config is None:
             return
         if (
-            force
-            and self.last_checkpoint is not None
+            self.last_checkpoint is not None
             and self.stats.expansions == self._expansions_at_checkpoint
         ):
             # Nothing expanded since the last snapshot: the file on disk
-            # is already this graph.  Skipping keeps sticky stop
-            # requests (which hit every explore call of a multi-root
-            # query) from rewriting a large snapshot once per root.
+            # is already this graph.  Skipping keeps walks over covered
+            # ground (a report re-reading a complete engine, a sticky
+            # stop request hitting every root of a multi-root query)
+            # from rewriting a large snapshot byte for byte.  The
+            # cadence stays due, so the next expansion writes at once.
             return
         if not force:
             due = (

@@ -644,10 +644,6 @@ class SymmetryQuotient:
             self._orbit[best] = (best, self.identity)
         return result
 
-    def orbit_perm_of(self, packed: tuple[int, ...]) -> tuple[int, ...]:
-        """The renaming taking *packed* to its canonical representative."""
-        return self.canonicalize_with_perm(packed)[1]
-
     # -- renaming helpers ---------------------------------------------------
 
     def mapping_of(self, perm: tuple[int, ...]) -> dict[str, str]:

@@ -344,10 +344,6 @@ class PackedIndex:
     def __len__(self) -> int:
         return self._size
 
-    @staticmethod
-    def hash_row(row: tuple[int, ...]) -> int:
-        return hash(row) & _HASH_MASK
-
     def get(self, row: tuple[int, ...]) -> int | None:
         """The node id of *row*, or ``None``."""
         h = hash(row) & _HASH_MASK
@@ -508,9 +504,6 @@ class EdgeStore:
             return ()
         return self._flat.read(offset, self._counts[node] * 2)
 
-    def pair_count(self, node: int) -> int:
-        return self._counts[node]
-
     def snapshot(self) -> dict[str, bytes]:
         state = {
             "flat": self._flat.to_bytes(),
@@ -629,9 +622,6 @@ class GraphStore:
             self._perm_ids[perm] = pid
             self._perm_table.append(perm)
         return pid
-
-    def perm_at(self, pid: int) -> tuple[int, ...]:
-        return self._perm_table[pid]
 
     def edge_perms(self, node: int) -> list[tuple[int, ...]]:
         """*node*'s per-edge renamings, aligned with :meth:`edge_list`."""

@@ -384,10 +384,6 @@ class ValencyAnalyzer:
         cached = _VALENCY_OF_STATE[self._state[node]]
         return cached if cached is not None else Valency.UNKNOWN
 
-    def is_bivalent(self, configuration: Configuration) -> bool:
-        """``True`` iff *configuration* is (provably) bivalent."""
-        return self.valency(configuration) is Valency.BIVALENT
-
     def decision_values(
         self, configuration: Configuration
     ) -> frozenset[int] | None:

@@ -10,12 +10,12 @@ call it directly to produce cold reference results.  Robustness wiring:
   daemon does with a job it found ``running`` in the spool.  Resume is
   byte-identical (the PR-3 contract), so the ``result`` block of a
   recovered job equals an uninterrupted run's.
-* Deadlines degrade instead of failing: the per-engine budget guards
-  (``wall_clock_limit_s`` / ``memory_limit_mb``) and the manager's
-  deadline watchdog (via :class:`JobHandle` →
-  :meth:`~repro.core.exploration.GlobalConfigurationGraph.request_stop`)
-  both stop the engine at a consistency point; the job completes with
-  ``partial`` set and a final checkpoint on disk.
+* Deadlines degrade instead of failing: the manager's deadline
+  watchdog times the whole job (``max_seconds``, via :class:`JobHandle`
+  → :meth:`~repro.core.exploration.GlobalConfigurationGraph.request_stop`)
+  and the engine's budget guard bounds its memory (``max_memory_mb``);
+  either stops the engine at a consistency point, and the job completes
+  with ``partial`` set and a final checkpoint on disk.
 * A ``drain`` stop (graceful shutdown) raises :class:`JobSuspended`
   instead of producing a result — the manager puts the job back in the
   ``queued`` state and the next daemon finishes it.
@@ -134,6 +134,9 @@ def execute_job(
     bytes for it (fingerprint identity of the underlying engine).  The
     ``meta`` block carries run-specific observability (wall time,
     resumed node counts) and is excluded from determinism comparisons.
+    ``spec.max_seconds`` is the caller's to enforce, through *handle*
+    (the job manager's watchdog does); ``spec.max_memory_mb`` is
+    enforced here.
     """
     started = time.perf_counter()
     if spec.verb == "spectrum":
@@ -165,10 +168,9 @@ def execute_job(
             "meta": {"elapsed_s": round(time.perf_counter() - started, 6)},
         }
 
-    resilience = ResilienceConfig(
-        wall_clock_limit_s=spec.max_seconds,
-        memory_limit_mb=spec.max_memory_mb,
-    )
+    # The manager's watchdog owns ``max_seconds``: it times the whole
+    # job, where a guard's clock restarts on every explore call.
+    resilience = ResilienceConfig(memory_limit_mb=spec.max_memory_mb)
     checkpoint = None
     resume_from = None
     if checkpoint_path is not None:
@@ -345,7 +347,6 @@ def _run_spectrum(
         cells,
         base_seed=spec.seed,
         checkpoint_path=checkpoint_path,
-        max_seconds=spec.max_seconds,
         max_memory_mb=spec.max_memory_mb,
     )
     if handle is not None:

@@ -46,9 +46,10 @@ class TestCadenceSurvivesRepeatedCalls:
     def test_second_explore_call_does_not_double_count(
         self, parity3, tmp_path
     ):
-        """A re-explore of covered ground expands nothing, but it still
-        walks the BFS levels, which are the documented cadence unit: it
-        writes on the level cadence and never resets it mid-walk."""
+        """A re-explore of covered ground expands nothing, so the
+        snapshot on disk is already this graph: the walk keeps counting
+        BFS levels (the documented cadence unit) but writes nothing.
+        The cadence stays due, so the next expansion writes at once."""
         graph = _engine(parity3, tmp_path / "repeat.ckpt", every_levels=2)
         root = parity3.initial_configuration([0, 0, 1])
         graph.explore(root)
@@ -56,4 +57,7 @@ class TestCadenceSurvivesRepeatedCalls:
         assert written == LEVELS // 2
         graph.explore(root)  # pure walk: zero new expansions
         assert graph.stats.expansions == EXPANSIONS
-        assert graph.stats.checkpoints_written == written + LEVELS // 2
+        assert graph.stats.checkpoints_written == written
+        graph.explore(parity3.initial_configuration([1, 1, 1]))
+        assert graph.stats.expansions > EXPANSIONS
+        assert graph.stats.checkpoints_written > written

@@ -7,8 +7,9 @@ reports must equal the literals below: verdicts, completeness,
 ``configurations_explored`` and the witnesses.  A witness is pinned as
 the input vector of its initial configuration plus a schedule from
 there; the report's witness must equal the configuration that schedule
-reaches.  Reports read off :func:`root_closures` (``closures=``) must
-equal the self-built ones field for field.  The exact stdout of
+reaches.  Reports read off an engine the valency census already grew
+(``graph=``) must equal the self-built ones field for field, and
+``repro check`` must explore the accessible set once.  The exact stdout of
 ``repro check`` is pinned too: every analyzable protocol at its
 default ``n``, ``parity-arbiter -n 4`` and
 ``wait-for-all --por --symmetry``.
@@ -28,9 +29,11 @@ from repro.cli import main
 from repro.core.correctness import (
     check_partial_correctness,
     check_validity,
-    root_closures,
 )
 from repro.core.events import NULL, Event
+from repro.core.exploration import GlobalConfigurationGraph
+from repro.core.kernel import TransitionKernel
+from repro.core.valency import ValencyAnalyzer
 
 PartialCorrectness = namedtuple(
     "PartialCorrectness",
@@ -164,15 +167,51 @@ def test_validity_report(name):
 def test_shared_closures_give_the_self_built_reports(name):
     entry = registry.info(name)
     protocol = entry.build(entry.default_n)
-    closures = root_closures(protocol)
+    analyzer = ValencyAnalyzer(protocol)
+    analyzer.classify_initials()
     for check in (check_partial_correctness, check_validity):
-        shared = check(protocol, closures=closures)
+        shared = check(protocol, graph=analyzer.graph)
         own = check(protocol)
         for spec in fields(own):
             assert getattr(shared, spec.name) == getattr(own, spec.name), (
                 check.__name__,
                 spec.name,
             )
+
+
+def _count_engine_work(monkeypatch):
+    """Count engines built and ``TransitionKernel.expand_row`` calls."""
+    counts = {"engines": 0, "expand_row": 0}
+    build = GlobalConfigurationGraph.__init__
+    expand_row = TransitionKernel.expand_row
+
+    def counted_build(self, *args, **kwargs):
+        counts["engines"] += 1
+        build(self, *args, **kwargs)
+
+    def counted_expand_row(self, *args, **kwargs):
+        counts["expand_row"] += 1
+        return expand_row(self, *args, **kwargs)
+
+    monkeypatch.setattr(GlobalConfigurationGraph, "__init__", counted_build)
+    monkeypatch.setattr(TransitionKernel, "expand_row", counted_expand_row)
+    return counts
+
+
+def test_check_explores_the_accessible_set_once(monkeypatch, capsys):
+    """Reports and census read one engine: 1,200 expansions, once."""
+    counts = _count_engine_work(monkeypatch)
+    assert main(["check", "parity-arbiter", "-n", "3"]) == 0
+    assert counts == {"engines": 1, "expand_row": 1200}
+
+
+def test_reduced_check_keeps_an_unreduced_engine_for_the_reports(
+    monkeypatch, capsys
+):
+    counts = _count_engine_work(monkeypatch)
+    assert main(["check", "wait-for-all", "--symmetry", "--stats"]) == 0
+    assert counts["engines"] == 2
+    assert "read a separate unreduced engine" in capsys.readouterr().out
 
 
 CHECK_STDOUT = {

@@ -187,7 +187,7 @@ class TestDeadlines:
         assert response.headers["x-repro-partial"]
         payload = json.loads(response.body)
         assert payload["partial"] is not None
-        assert payload["partial"]["reason"] in ("wall_clock", "deadline")
+        assert payload["partial"]["reason"] == "deadline"
         assert payload["result"]["complete"] is False
         assert payload["result"]["nodes"] > 0
         job = client.jobs()[0]
